@@ -17,20 +17,17 @@ from .core import (DenseState, HermitianDense, MechanismConfig, PauliString,
                    evaluate_accuracy, expectation, spawn_rngs)
 from .errors import (AcceptanceFailure, BudgetExhausted, ConfigError,
                      DimensionMismatch, Halted, InvalidPair, LengthMismatch,
-                     MalformedCsv, PrimitiveMismatch, UnsupportedPair)
+                     MalformedCsv, MalformedSnapshots, PrimitiveMismatch,
+                     UnsupportedPair)
 from .shadows import (collect_pauli_snapshots, collect_povm_snapshots,
                       empirical_mean, median_of_means, povm_moment_bound,
                       povm_tail_bound, shadow_norm_bound, snapshot_values)
 from .attack import (attack_experiment, run_adaptive_attack,
                      run_nonadaptive_baseline)
 from .mechanisms import (DpMedianSession, PmwSession, SqSession,
-                         adaptive_pauli_mechanism, bell_samples,
-                         dp_median_mechanism, pmw_tomography,
-                         synthetic_density)
+                         adaptive_pauli_mechanism, bell_samples)
 from .threshold_search import (ClosenessTeacher, ShadowThresholdSession,
-                               SparseVectorSession, closeness_teacher,
-                               shadow_threshold_search, sparse_vector,
-                               truncation_level)
+                               SparseVectorSession, truncation_level)
 from .subspace import (ExactTeacher, LearnerRun, Subspace,
                        frobenius_mistake_cap, low_rank_mistake_cap,
                        run_bounded_frobenius, run_low_rank, run_single_rank,
@@ -46,20 +43,18 @@ __all__ = [
     "DenseState", "DimensionMismatch", "DpMedianSession",
     "EmpiricalMeanMechanism", "ExactTeacher", "FingerprintingCode",
     "GameState", "Halted", "HermitianDense", "InvalidPair", "LearnerRun",
-    "LengthMismatch", "MalformedCsv", "MechanismConfig", "OtpKeypair",
-    "PauliString", "PmwSession", "PrimitiveMismatch", "RankOneProjector",
-    "Round", "ScoreTracingCode", "ShadowThresholdSession", "SingleQubitZ",
-    "SparseVectorSession", "SqSession", "Subspace", "Transcript",
-    "UnsupportedPair", "ZParity", "adaptive_pauli_mechanism",
-    "attack_experiment", "bell_samples", "closeness_teacher",
-    "collect_pauli_snapshots", "collect_povm_snapshots",
-    "dp_median_mechanism", "empirical_mean", "evaluate_accuracy",
+    "LengthMismatch", "MalformedCsv", "MalformedSnapshots", "MechanismConfig",
+    "OtpKeypair", "PauliString", "PmwSession", "PrimitiveMismatch",
+    "RankOneProjector", "Round", "ScoreTracingCode", "ShadowThresholdSession",
+    "SingleQubitZ", "SparseVectorSession", "SqSession", "Subspace",
+    "Transcript", "UnsupportedPair", "ZParity", "adaptive_pauli_mechanism",
+    "attack_experiment", "bell_samples", "collect_pauli_snapshots",
+    "collect_povm_snapshots", "empirical_mean", "evaluate_accuracy",
     "expectation", "frobenius_mistake_cap", "low_rank_mistake_cap",
-    "median_of_means", "otp_decrypt", "otp_encrypt", "pmw_tomography",
-    "povm_moment_bound", "povm_tail_bound", "run_adaptive_attack",
-    "run_bounded_frobenius", "run_ifpc_game", "run_local_attack",
-    "run_low_rank", "run_nonadaptive_baseline", "run_pauli_attack",
-    "run_single_rank", "shadow_norm_bound", "shadow_threshold_search",
-    "single_rank_mistake_cap", "snapshot_values", "sparse_vector",
-    "spawn_rngs", "synthetic_density", "truncation_level",
+    "median_of_means", "otp_decrypt", "otp_encrypt", "povm_moment_bound",
+    "povm_tail_bound", "run_adaptive_attack", "run_bounded_frobenius",
+    "run_ifpc_game", "run_local_attack", "run_low_rank",
+    "run_nonadaptive_baseline", "run_pauli_attack", "run_single_rank",
+    "shadow_norm_bound", "single_rank_mistake_cap", "snapshot_values",
+    "spawn_rngs", "truncation_level",
 ]

@@ -19,15 +19,13 @@ Two equivalent execution paths:
 
 from __future__ import annotations
 
-import csv
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DiagonalState, spawn_rngs
+from .core import DiagonalState, spawn_rngs, write_csv
 from .errors import DimensionMismatch
 
 # OR columns over this many near-fair coordinates are 1 every round except
@@ -35,6 +33,8 @@ from .errors import DimensionMismatch
 OR_SATURATION = 64
 
 BRUTEFORCE_CELL_CAP = 8_000_000  # max N*M for the materialized path
+
+GRID_FIELDS = ["M", "N", "runs", "mode", "error_mean", "error_std", "seed"]
 
 
 def or_rule_expectation(subset_size: int) -> float:
@@ -298,19 +298,6 @@ def attack_experiment(N: int, M_list: Sequence[int], runs: int, seed: int,
                 "seed": seed,
             })
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["M", "N", "runs", "mode", "error_mean",
-                                "error_std", "seed"])
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(out_path, GRID_FIELDS, rows)
     return rows
 
-
-if __name__ == "__main__":
-    t0 = time.time()
-    rows = attack_experiment(10_000, [100, 200, 400, 800, 1600, 3200, 6400, 10000],
-                             runs=20, seed=11)
-    for r in rows:
-        print(f"M={r['M']:>6} {r['mode']:<12} mean={r['error_mean']:.3f}")
-    print(f"{time.time() - t0:.1f}s")

@@ -31,13 +31,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .attack import attack_experiment
-from .core import (DenseState, HermitianDense, MechanismConfig, PauliString,
-                   RankOneProjector, expectation, spawn_rngs)
+from .attack import GRID_FIELDS, attack_experiment
+from .core import (DenseState, MechanismConfig, PauliString, RankOneProjector,
+                   expectation, spawn_rngs, write_csv)
 from .errors import AcceptanceFailure, ConfigError, Halted, MalformedCsv
 from .ifpc import EmpiricalMeanMechanism, run_local_attack, run_pauli_attack
 from .mechanisms import (DpMedianSession, PmwSession, adaptive_pauli_mechanism)
@@ -48,32 +48,12 @@ from .threshold_search import SparseVectorSession
 
 ENV_PREFIX = "ADSH_"
 
-EXPERIMENT_IDS = ("attack", "dp-median", "pmw", "threshold", "subspace",
-                  "ifpc-local", "ifpc-pauli", "povm-concentration",
-                  "pauli-bell")
-
 # config keys the experiment spec recognizes: every MechanismConfig field
 # except the seed (a flag), plus the handful of experiment-specific extras
 _CFG_FIELDS = ("N", "M", "epsilon", "delta", "B", "R", "ell", "K",
                "d_users", "m_bits")
 _INT_FIELDS = {"N", "M", "R", "ell", "K", "d_users", "m_bits"}
 _EXTRA_FIELDS = ("m_grid", "gamma", "tolerance")
-
-# per-experiment defaults; anything not listed falls back to MechanismConfig
-DEFAULT_CONFIGS: dict[str, dict] = {
-    "attack": {"N": 10_000,
-               "m_grid": "100,200,400,800,1600,3200,6400,10000"},
-    "dp-median": {"N": 8192, "M": 16, "epsilon": 0.3, "K": 256, "m_bits": 3},
-    "pmw": {"N": 32768, "M": 200, "epsilon": 0.5, "delta": 0.05,
-            "ell": 20000, "m_bits": 8, "tolerance": 0.1},
-    "threshold": {"d_users": 8, "M": 200, "epsilon": 0.3, "ell": 10,
-                  "delta": 0.05},
-    "subspace": {"m_bits": 4, "M": 64, "epsilon": 0.3},
-    "ifpc-local": {"N": 5, "M": 625},
-    "ifpc-pauli": {"N": 5, "M": 625},
-    "povm-concentration": {"m_bits": 3, "N": 20000},
-    "pauli-bell": {"m_bits": 3, "N": 100_000, "M": 100, "epsilon": 0.15},
-}
 
 DEFAULT_TRIALS = 20
 
@@ -198,15 +178,6 @@ def config_hash(spec: ExperimentSpec) -> str:
     return hashlib.sha1(blob.encode()).hexdigest()[:10]
 
 
-def _map_trials(fn: Callable, count: int, seed: int, threads: int) -> list:
-    """Run fn(trial_index, rng) over a deterministic per-trial rng tree."""
-    rngs = spawn_rngs(seed, count)
-    if threads <= 1:
-        return [fn(t, rngs[t]) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda t: fn(t, rngs[t]), range(count)))
-
-
 # ---------------------------------------------------------------------------
 # shared state/stream builders
 # ---------------------------------------------------------------------------
@@ -228,290 +199,307 @@ def _heavy_state(d: int, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# runners: each returns (fieldnames, rows, metrics, passed)
+# experiments: a row producer and a scorer returning (metrics, passed) each
 # ---------------------------------------------------------------------------
 
-def _run_attack(spec: ExperimentSpec):
+def _per_trial(one: Callable) -> Callable:
+    """Row producer running one(spec, trial_index, rng) -> rows on each trial
+    of a deterministic per-trial rng tree, concatenated in trial order."""
+
+    def rows(spec: ExperimentSpec) -> list[dict]:
+        rngs = spawn_rngs(spec.seed, spec.trials)
+        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+            results = pool.map(lambda t: one(spec, t, rngs[t]),
+                               range(spec.trials))
+            return [r for out in results for r in out]
+
+    return rows
+
+
+def _attack_grid(spec: ExperimentSpec) -> list[dict]:
     try:
         grid = [int(x) for x in spec.extras["m_grid"].split(",")]
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad m_grid: {exc}") from exc
-    rows = attack_experiment(spec.cfg.N, grid, spec.trials, spec.seed)
+    # one row per (M, mode) over spec.trials runs, from the grid's own streams
+    return attack_experiment(spec.cfg.N, grid, spec.trials, spec.seed)
+
+
+def _score_attack(spec: ExperimentSpec, rows: list[dict]):
     adaptive = [r for r in rows if r["mode"] == "adaptive"]
     nonadaptive = [r for r in rows if r["mode"] == "nonadaptive"]
     gap = adaptive[-1]["error_mean"] - nonadaptive[-1]["error_mean"]
     worst_nonadaptive = max(r["error_mean"] for r in nonadaptive)
-    passed = gap > 0.0 and worst_nonadaptive <= 0.3
     metrics = {
         "adaptive_error_at_max_M": adaptive[-1]["error_mean"],
         "nonadaptive_error_max": worst_nonadaptive,
         "final_gap": gap,
     }
-    fields = ["M", "N", "runs", "mode", "error_mean", "error_std", "seed"]
-    return fields, rows, metrics, passed
+    return metrics, gap > 0.0 and worst_nonadaptive <= 0.3
 
 
-def _run_dp_median(spec: ExperimentSpec):
+def _within_tolerance(tolerance: Callable[[ExperimentSpec], float],
+                      label: str) -> Callable:
+    """Scorer: pass when >= 95% of trials keep every answer's error within
+    tolerance(spec); reports that fraction as ``trials_within_<label>``."""
+
+    def score(spec: ExperimentSpec, rows: list[dict]):
+        tol = tolerance(spec)
+        trial_ok: dict[int, bool] = {}
+        for r in rows:
+            ok = trial_ok.get(r["trial"], True)
+            trial_ok[r["trial"]] = ok and r["error"] <= tol
+        frac = float(np.mean(list(trial_ok.values())))
+        errors = [r["error"] for r in rows]
+        metrics = {"max_error": max(errors), f"trials_within_{label}": frac}
+        if label == "epsilon":   # dp-median reports its mean error instead
+            metrics["mean_error"] = float(np.mean(errors))
+        else:
+            metrics["tolerance"] = tol
+        return metrics, frac >= 0.95
+
+    return score
+
+
+@_per_trial
+def _dp_median_trial(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
     cfg = spec.cfg
     d = 2 ** cfg.m_bits
     gamma = float(spec.extras["gamma"]) if "gamma" in spec.extras else None
-
-    def one(trial: int, rng: np.random.Generator):
-        state = _heavy_state(d, rng)
-        ds = collect_povm_snapshots(state, cfg.N, rng)
-        session = DpMedianSession(ds, cfg, rng=rng, gamma=gamma)
-        out = []
-        for k in range(cfg.M):
-            obs = RankOneProjector(_haar_unit(d, rng))
-            answer = session.query(obs)
-            truth = expectation(state, obs)
-            out.append({"trial": trial, "query": k, "answer": answer,
-                        "truth": truth, "error": abs(answer - truth)})
-        return out
-
-    results = _map_trials(one, spec.trials, spec.seed, spec.threads)
-    rows = [r for chunk in results for r in chunk]
-    per_trial_ok = [all(r["error"] <= cfg.epsilon for r in chunk)
-                    for chunk in results]
-    frac_ok = float(np.mean(per_trial_ok))
-    metrics = {
-        "max_error": max(r["error"] for r in rows),
-        "mean_error": float(np.mean([r["error"] for r in rows])),
-        "trials_within_epsilon": frac_ok,
-    }
-    return (["trial", "query", "answer", "truth", "error"], rows, metrics,
-            frac_ok >= 0.95)
+    state = _heavy_state(d, rng)
+    ds = collect_povm_snapshots(state, cfg.N, rng)
+    session = DpMedianSession(ds, cfg, rng=rng, gamma=gamma)
+    out = []
+    for k in range(cfg.M):
+        obs = RankOneProjector(_haar_unit(d, rng))
+        answer = session.query(obs)
+        truth = expectation(state, obs)
+        out.append({"trial": trial, "query": k, "answer": answer,
+                    "truth": truth, "error": abs(answer - truth)})
+    return out
 
 
-def _run_pmw(spec: ExperimentSpec):
+@_per_trial
+def _pmw_trial(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
     cfg = spec.cfg
     U = 2 ** cfg.m_bits
-    tolerance = float(spec.extras.get("tolerance", 0.1))
-
-    def one(trial: int, rng: np.random.Generator):
-        # skewed universe histogram: squared-exponential weights
-        raw = np.exp(-2.0 * rng.exponential(size=U))
-        hist = raw / raw.sum()
-        session = PmwSession(hist, cfg.N, cfg, rng=rng)
-        out = []
-        prev_sign = 1.0
-        for k in range(cfg.M):
-            values = rng.choice([-1.0, 1.0], size=U)
-            if k % 3 == 2:
-                values = values * prev_sign  # fold previous answer back in
-            answer = session.query(values)
-            truth = float(hist @ values)
-            prev_sign = 1.0 if answer >= truth else -1.0
-            out.append({"trial": trial, "query": k, "answer": answer,
-                        "truth": truth, "error": abs(answer - truth)})
-        return out
-
-    results = _map_trials(one, spec.trials, spec.seed, spec.threads)
-    rows = [r for chunk in results for r in chunk]
-    per_trial_ok = [all(r["error"] <= tolerance for r in chunk)
-                    for chunk in results]
-    frac_ok = float(np.mean(per_trial_ok))
-    metrics = {
-        "max_error": max(r["error"] for r in rows),
-        "tolerance": tolerance,
-        "trials_within_tolerance": frac_ok,
-    }
-    return (["trial", "query", "answer", "truth", "error"], rows, metrics,
-            frac_ok >= 0.95)
+    # skewed universe histogram: squared-exponential weights
+    raw = np.exp(-2.0 * rng.exponential(size=U))
+    hist = raw / raw.sum()
+    session = PmwSession(hist, cfg.N, cfg, rng=rng)
+    out = []
+    prev_sign = 1.0
+    for k in range(cfg.M):
+        values = rng.choice([-1.0, 1.0], size=U)
+        if k % 3 == 2:
+            values = values * prev_sign  # fold previous answer back in
+        answer = session.query(values)
+        truth = float(hist @ values)
+        prev_sign = 1.0 if answer >= truth else -1.0
+        out.append({"trial": trial, "query": k, "answer": answer,
+                    "truth": truth, "error": abs(answer - truth)})
+    return out
 
 
-def _run_threshold(spec: ExperimentSpec):
+@_per_trial
+def _threshold_trial(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
     cfg = spec.cfg
+    truths = rng.uniform(0.0, 1.0, size=cfg.d_users)
+    session = SparseVectorSession(truths, cfg.epsilon, cfg.delta,
+                                  cfg.ell, cfg.M, rng)
+    violations = 0
+    asked = 0
+    for _ in range(cfg.M):
+        value = float(truths[rng.integers(cfg.d_users)])
+        theta = float(np.clip(value + rng.uniform(-cfg.epsilon, cfg.epsilon),
+                              0.0, 1.0))
+        try:
+            answer = session.ask(value, theta)
+        except Halted:
+            break
+        asked += 1
+        if answer == "No" and value <= theta - cfg.epsilon:
+            violations += 1
+        if answer == "Yes" and value >= theta + cfg.epsilon:
+            violations += 1
+    return [{"trial": trial, "asked": asked, "violations": violations,
+             "no_count": session.no_count}]
 
-    def one(trial: int, rng: np.random.Generator):
-        truths = rng.uniform(0.0, 1.0, size=cfg.d_users)
-        session = SparseVectorSession(truths, cfg.epsilon, cfg.delta,
-                                      cfg.ell, cfg.M, rng)
-        violations = 0
-        asked = 0
-        for _ in range(cfg.M):
-            value = float(truths[rng.integers(cfg.d_users)])
-            theta = float(np.clip(value + rng.uniform(-cfg.epsilon,
-                                                      cfg.epsilon), 0.0, 1.0))
-            try:
-                answer = session.ask(value, theta)
-            except Halted:
-                break
-            asked += 1
-            if answer == "No" and value <= theta - cfg.epsilon:
-                violations += 1
-            if answer == "Yes" and value >= theta + cfg.epsilon:
-                violations += 1
-        return {"trial": trial, "asked": asked, "violations": violations,
-                "no_count": session.no_count}
 
-    rows = _map_trials(one, spec.trials, spec.seed, spec.threads)
+def _score_threshold(spec: ExperimentSpec, rows: list[dict]):
     total = sum(r["violations"] for r in rows)
     metrics = {
         "total_violations": total,
         "mean_asked": float(np.mean([r["asked"] for r in rows])),
     }
-    return (["trial", "asked", "violations", "no_count"], rows, metrics,
-            total == 0)
+    return metrics, total == 0
 
 
-def _run_subspace(spec: ExperimentSpec):
+@_per_trial
+def _subspace_trial(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
     cfg = spec.cfg
     d = 2 ** cfg.m_bits
-    cap = single_rank_mistake_cap(cfg.epsilon)
+    state = _heavy_state(d, rng)
+    lam, vecs = np.linalg.eigh(state.matrix)
+    order = np.argsort(lam)[::-1]
+    queries = []
+    for k in range(cfg.M):
+        if k % 3 == 0:
+            v = vecs[:, order[k % 4]]
+        else:
+            base = vecs[:, order[rng.integers(4)]]
+            noise = _haar_unit(d, rng)
+            v = 0.9 * base + math.sqrt(1 - 0.81) * noise
+            v = v / np.linalg.norm(v)
+        queries.append(RankOneProjector(v))
+    teacher = ExactTeacher(state, cfg.epsilon)
+    run = run_single_rank(state, queries, cfg, teacher, rng=rng)
+    errs = [abs(r.answer - r.truth) for r in run.transcript.rounds]
+    return [{"trial": trial, "mistakes": run.ledger.mistake_count,
+             "max_error": max(errs), "k_final": run.subspace.k}]
 
-    def one(trial: int, rng: np.random.Generator):
-        state = _heavy_state(d, rng)
-        lam, vecs = np.linalg.eigh(state.matrix)
-        order = np.argsort(lam)[::-1]
-        queries = []
-        for k in range(cfg.M):
-            if k % 3 == 0:
-                v = vecs[:, order[k % 4]]
-            else:
-                base = vecs[:, order[rng.integers(4)]]
-                noise = _haar_unit(d, rng)
-                v = 0.9 * base + math.sqrt(1 - 0.81) * noise
-                v = v / np.linalg.norm(v)
-            queries.append(RankOneProjector(v))
-        teacher = ExactTeacher(state, cfg.epsilon)
-        run = run_single_rank(state, queries, cfg, teacher, rng=rng)
-        errs = [abs(r.answer - r.truth) for r in run.transcript.rounds]
-        return {"trial": trial, "mistakes": run.ledger.mistake_count,
-                "max_error": max(errs), "k_final": run.subspace.k}
 
-    rows = _map_trials(one, spec.trials, spec.seed, spec.threads)
+def _score_subspace(spec: ExperimentSpec, rows: list[dict]):
+    cap = single_rank_mistake_cap(spec.cfg.epsilon)
     worst = max(r["max_error"] for r in rows)
     most = max(r["mistakes"] for r in rows)
     metrics = {"mistake_cap": cap, "max_mistakes": most, "max_error": worst}
-    passed = most <= cap and worst <= cfg.epsilon
-    return (["trial", "mistakes", "max_error", "k_final"], rows, metrics,
-            passed)
+    return metrics, most <= cap and worst <= spec.cfg.epsilon
 
 
-def _ifpc_runner(spec: ExperimentSpec, variant: Callable):
-    cfg = spec.cfg
+@_per_trial
+def _ifpc_trial(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
+    variant = (run_local_attack if spec.experiment == "ifpc-local"
+               else run_pauli_attack)
+    res = variant(EmpiricalMeanMechanism(), spec.cfg.N, spec.cfg.M, rng)
+    return [{"trial": trial, "forced": int(res.forced_error),
+             "forced_round": -1 if res.forced_round is None
+             else res.forced_round,
+             "max_error": res.max_error, "theta": res.state.theta,
+             "psi": res.state.psi,
+             "accused_count": len(res.state.accused)}]
 
-    def one(trial: int, rng: np.random.Generator):
-        res = variant(EmpiricalMeanMechanism(), cfg.N, cfg.M, rng)
-        return {"trial": trial, "forced": int(res.forced_error),
-                "forced_round": -1 if res.forced_round is None
-                else res.forced_round,
-                "max_error": res.max_error, "theta": res.state.theta,
-                "psi": res.state.psi,
-                "accused_count": len(res.state.accused)}
 
-    rows = _map_trials(one, spec.trials, spec.seed, spec.threads)
+def _score_ifpc(spec: ExperimentSpec, rows: list[dict]):
     frac = float(np.mean([r["forced"] for r in rows]))
     metrics = {
         "forced_fraction": frac,
         "mean_theta": float(np.mean([r["theta"] for r in rows])),
         "max_psi": max(r["psi"] for r in rows),
     }
-    fields = ["trial", "forced", "forced_round", "max_error", "theta", "psi",
-              "accused_count"]
-    return fields, rows, metrics, frac >= 0.9
+    return metrics, frac >= 0.9
 
 
-def _run_ifpc_local(spec: ExperimentSpec):
-    return _ifpc_runner(spec, run_local_attack)
+@_per_trial
+def _povm_concentration_trial(spec: ExperimentSpec, trial: int,
+                              rng: np.random.Generator):
+    d = 2 ** spec.cfg.m_bits
+    state = _heavy_state(d, rng)
+    obs = RankOneProjector(_haar_unit(d, rng))
+    B = shadow_norm_bound(obs, "povm")
+    ds = collect_povm_snapshots(state, spec.cfg.N, rng)
+    centered = snapshot_values(ds, obs) - expectation(state, obs)
+    out = []
+    for tau in CONCENTRATION_TAUS:
+        tail = float(np.mean(np.abs(centered) >= tau))
+        out.append({"trial": trial, "tau": tau, "tail": tail,
+                    "bound": povm_tail_bound(tau, B)})
+    return out
 
 
-def _run_ifpc_pauli(spec: ExperimentSpec):
-    return _ifpc_runner(spec, run_pauli_attack)
-
-
-def _run_povm_concentration(spec: ExperimentSpec):
-    cfg = spec.cfg
-    d = 2 ** cfg.m_bits
-
-    def one(trial: int, rng: np.random.Generator):
-        state = _heavy_state(d, rng)
-        obs = RankOneProjector(_haar_unit(d, rng))
-        B = shadow_norm_bound(obs, "povm")
-        ds = collect_povm_snapshots(state, cfg.N, rng)
-        centered = snapshot_values(ds, obs) - expectation(state, obs)
-        out = []
-        for tau in CONCENTRATION_TAUS:
-            tail = float(np.mean(np.abs(centered) >= tau))
-            out.append({"trial": trial, "tau": tau, "tail": tail,
-                        "bound": povm_tail_bound(tau, B)})
-        return out
-
-    results = _map_trials(one, spec.trials, spec.seed, spec.threads)
-    rows = [r for chunk in results for r in chunk]
+def _score_povm_concentration(spec: ExperimentSpec, rows: list[dict]):
     # pool across trials per tau: the bound is on the underlying probability
     ok = True
-    pooled = {}
+    metrics = {}
     for tau in CONCENTRATION_TAUS:
         tails = [r["tail"] for r in rows if r["tau"] == tau]
         bound = next(r["bound"] for r in rows if r["tau"] == tau)
-        pooled[f"tail_{tau}"] = float(np.mean(tails))
+        metrics[f"tail_{tau}"] = float(np.mean(tails))
         ok = ok and float(np.mean(tails)) <= bound
-    metrics = dict(pooled)
-    return (["trial", "tau", "tail", "bound"], rows, metrics, ok)
+    return metrics, ok
 
 
-def _run_pauli_bell(spec: ExperimentSpec):
+@_per_trial
+def _pauli_bell_trial(spec: ExperimentSpec, trial: int,
+                      rng: np.random.Generator):
     cfg = spec.cfg
     n = cfg.m_bits
-    tolerance = float(spec.extras.get("tolerance", cfg.epsilon))
     letters = "IXYZ"
-
-    def one(trial: int, rng: np.random.Generator):
-        state = _heavy_state(2 ** n, rng)
-        queries = []
-        while len(queries) < cfg.M:
-            s = "".join(letters[i] for i in rng.integers(0, 4, size=n))
-            if s != "I" * n:
-                queries.append(PauliString(s))
-        answers = adaptive_pauli_mechanism(state, queries, cfg, rng)
-        out = []
-        for k, (P, a) in enumerate(zip(queries, answers)):
-            truth = expectation(state, P)
-            out.append({"trial": trial, "query": k, "pauli": P.symbols,
-                        "answer": a, "truth": truth,
-                        "error": abs(a - truth)})
-        return out
-
-    results = _map_trials(one, spec.trials, spec.seed, spec.threads)
-    rows = [r for chunk in results for r in chunk]
-    per_trial_ok = [all(r["error"] <= tolerance for r in chunk)
-                    for chunk in results]
-    frac_ok = float(np.mean(per_trial_ok))
-    metrics = {
-        "max_error": max(r["error"] for r in rows),
-        "tolerance": tolerance,
-        "trials_within_tolerance": frac_ok,
-    }
-    return (["trial", "query", "pauli", "answer", "truth", "error"], rows,
-            metrics, frac_ok >= 0.95)
+    state = _heavy_state(2 ** n, rng)
+    queries = []
+    while len(queries) < cfg.M:
+        s = "".join(letters[i] for i in rng.integers(0, 4, size=n))
+        if s != "I" * n:
+            queries.append(PauliString(s))
+    answers = adaptive_pauli_mechanism(state, queries, cfg, rng)
+    out = []
+    for k, (P, a) in enumerate(zip(queries, answers)):
+        truth = expectation(state, P)
+        out.append({"trial": trial, "query": k, "pauli": P.symbols,
+                    "answer": a, "truth": truth, "error": abs(a - truth)})
+    return out
 
 
-EXPERIMENTS: dict[str, Callable] = {
-    "attack": _run_attack,
-    "dp-median": _run_dp_median,
-    "pmw": _run_pmw,
-    "threshold": _run_threshold,
-    "subspace": _run_subspace,
-    "ifpc-local": _run_ifpc_local,
-    "ifpc-pauli": _run_ifpc_pauli,
-    "povm-concentration": _run_povm_concentration,
-    "pauli-bell": _run_pauli_bell,
+class Experiment(NamedTuple):
+    """One ``adsh`` experiment: config defaults (anything unlisted falls back
+    to MechanismConfig), the row producer, the CSV columns ahead of (seed,
+    build, config_hash), and the scorer returning (metrics, passed)."""
+
+    defaults: dict
+    rows: Callable[[ExperimentSpec], list]
+    fields: list
+    score: Callable
+
+
+_ANSWER_FIELDS = ["trial", "query", "answer", "truth", "error"]
+_IFPC_FIELDS = ["trial", "forced", "forced_round", "max_error", "theta", "psi",
+                "accused_count"]
+_TOLERANCE_SCORE = _within_tolerance(
+    lambda spec: float(spec.extras.get("tolerance", spec.cfg.epsilon)),
+    "tolerance")
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "attack": Experiment(
+        {"N": 10_000, "m_grid": "100,200,400,800,1600,3200,6400,10000"},
+        _attack_grid, GRID_FIELDS, _score_attack),
+    "dp-median": Experiment(
+        {"N": 8192, "M": 16, "epsilon": 0.3, "K": 256, "m_bits": 3},
+        _dp_median_trial, _ANSWER_FIELDS,
+        _within_tolerance(lambda spec: spec.cfg.epsilon, "epsilon")),
+    "pmw": Experiment(
+        {"N": 32768, "M": 200, "epsilon": 0.5, "delta": 0.05, "ell": 20000,
+         "m_bits": 8, "tolerance": 0.1},
+        _pmw_trial, _ANSWER_FIELDS, _TOLERANCE_SCORE),
+    "threshold": Experiment(
+        {"d_users": 8, "M": 200, "epsilon": 0.3, "ell": 10, "delta": 0.05},
+        _threshold_trial, ["trial", "asked", "violations", "no_count"],
+        _score_threshold),
+    "subspace": Experiment(
+        {"m_bits": 4, "M": 64, "epsilon": 0.3},
+        _subspace_trial, ["trial", "mistakes", "max_error", "k_final"],
+        _score_subspace),
+    "ifpc-local": Experiment({"N": 5, "M": 625}, _ifpc_trial, _IFPC_FIELDS,
+                             _score_ifpc),
+    "ifpc-pauli": Experiment({"N": 5, "M": 625}, _ifpc_trial, _IFPC_FIELDS,
+                             _score_ifpc),
+    "povm-concentration": Experiment(
+        {"m_bits": 3, "N": 20000},
+        _povm_concentration_trial, ["trial", "tau", "tail", "bound"],
+        _score_povm_concentration),
+    "pauli-bell": Experiment(
+        {"m_bits": 3, "N": 100_000, "M": 100, "epsilon": 0.15},
+        _pauli_bell_trial,
+        ["trial", "query", "pauli", "answer", "truth", "error"],
+        _TOLERANCE_SCORE),
 }
+
+EXPERIMENT_IDS = tuple(EXPERIMENTS)
+DEFAULT_CONFIGS = {exp_id: exp.defaults for exp_id, exp in EXPERIMENTS.items()}
 
 
 # ---------------------------------------------------------------------------
 # output plumbing
 # ---------------------------------------------------------------------------
-
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames,
-                                quoting=csv.QUOTE_MINIMAL)
-        writer.writeheader()
-        writer.writerows(rows)
-
 
 def run(spec: ExperimentSpec) -> int:
     """Execute one experiment spec; writes CSV + summary, returns exit code.
@@ -519,22 +507,23 @@ def run(spec: ExperimentSpec) -> int:
     Raises AcceptanceFailure (after writing both artifacts) when the
     embedded threshold is missed, ConfigError on a bad spec.
     """
-    runner = EXPERIMENTS.get(spec.experiment)
-    if runner is None:
+    exp = EXPERIMENTS.get(spec.experiment)
+    if exp is None:
         raise ConfigError(f"unknown experiment id {spec.experiment!r}")
     build = build_id()
     chash = config_hash(spec)
-    fieldnames, rows, metrics, passed = runner(spec)
+    rows = exp.rows(spec)
+    metrics, passed = exp.score(spec, rows)
     for row in rows:
         row.setdefault("seed", spec.seed)
         row["build"] = build
         row["config_hash"] = chash
-    out_fields = list(fieldnames)
+    out_fields = list(exp.fields)
     for extra_col in ("seed", "build", "config_hash"):
         if extra_col not in out_fields:
             out_fields.append(extra_col)
     csv_path = spec.out_dir / f"{spec.experiment}.csv"
-    _write_csv(csv_path, out_fields, rows)
+    write_csv(csv_path, out_fields, rows)
 
     summary = {
         "experiment": spec.experiment,
@@ -590,7 +579,7 @@ def emit_plot_data(csv_path, out_path=None) -> list[dict]:
                  for col in reader.fieldnames if col not in drop}
                 for row in rows]
     if out_path is not None:
-        _write_csv(Path(out_path), out_fields, out_rows)
+        write_csv(out_path, out_fields, out_rows)
     return out_rows
 
 

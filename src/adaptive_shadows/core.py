@@ -13,6 +13,7 @@ tr(O rho) exactly for any valid pairing.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -28,7 +29,6 @@ HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
 PSD_ATOL = 1e-9
 UNIT_NORM_ATOL = 1e-10
-ORTHO_ATOL = 1e-9
 SPECTRAL_ATOL = 1e-9
 
 PAULI_MATRICES = {
@@ -228,9 +228,6 @@ class HermitianDense:
         return float(np.sum(self.eigenvalues**2))
 
 
-Observable = (SingleQubitZ, ZParity, PauliString, RankOneProjector, HermitianDense)
-
-
 def is_diagonal(obs) -> bool:
     """True when the observable is diagonal in the computational basis."""
     if isinstance(obs, (SingleQubitZ, ZParity)):
@@ -402,9 +399,13 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 
 
-if __name__ == "__main__":
-    rng = np.random.default_rng(0)
-    state = DiagonalState(3)
-    print("uniform Z_0:", expectation(state, SingleQubitZ(0)))
-    draws = [sample_bitstring(state, rng).base for _ in range(5)]
-    print("samples:", [("".join(map(str, b))) for b in draws])
+# ---------------------------------------------------------------------------
+# output
+# ---------------------------------------------------------------------------
+
+def write_csv(path, fieldnames: Sequence[str], rows: Iterable[dict]) -> None:
+    """RFC-4180 table with a header row: session logs and experiment results."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)

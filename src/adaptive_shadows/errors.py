@@ -36,6 +36,10 @@ class RejectionBudgetExceeded(AdaptiveShadowsError):
     """The rejection sampler used up its proposal budget without an accept."""
 
 
+class MalformedSnapshots(AdaptiveShadowsError, ValueError):
+    """A snapshot file is truncated, mis-encoded or holds non-unit vectors."""
+
+
 class EmptyDataset(AdaptiveShadowsError):
     """Estimators need a non-empty snapshot dataset."""
 

@@ -27,7 +27,6 @@ plain bits end to end and no inversion.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 import random
@@ -46,14 +45,6 @@ GAME_LOG_FIELDS = [
     "round", "challenge_hash", "answer", "rounded",
     "accused_count", "theta", "psi",
 ]
-
-
-def save_game_log(rows: Sequence[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=GAME_LOG_FIELDS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------

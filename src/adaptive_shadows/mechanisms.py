@@ -1,39 +1,37 @@
 """Adaptivity-robust prediction mechanisms.
 
-Four families, each a single-owner stateful session plus a convenience
-function for scripted query lists:
+Four families; the first three are single-owner stateful sessions that
+answer one adaptively chosen query per call:
 
 * DP truncated median-of-means over batched shadow estimates, privatized
   with the exponential mechanism on a uniform candidate grid.
-* Private multiplicative weights over an explicit snapshot-encoding universe,
+* Private multiplicative weights over an explicit universe (for Pauli
+  shadows, the snapshot-encoding universe via ``PmwSession.from_shadows``),
   gated by a sparse-vector comparison; answered queries are cached so repeats
   are free and identical.
 * Gaussian-noised statistical queries with a zCDP-style per-query budget
   split (the noise constants are engineering choices, validated by the
   contract tests, not a citation).
-* The Bell-sample Pauli pipeline: magnitude from two-copy Bell measurements
-  (E[q_P] = tr(P rho)^2), sign from an exact oracle standing in for the
-  coherent measurement, answer = sign * sqrt(magnitude).
+* The Bell-sample Pauli pipeline (``adaptive_pauli_mechanism``): magnitude
+  from two-copy Bell measurements (E[q_P] = tr(P rho)^2) through an SQ
+  session, sign from an exact oracle standing in for the coherent
+  measurement, answer = sign * sqrt(magnitude).
 
-Every session appends one trace row per query: query_id, answer,
-noise_scale, budget_remaining.
+Every session appends one trace row per query (``TRACE_FIELDS``): query_id,
+answer, noise_scale, budget_remaining.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .core import (
     DenseState,
-    HermitianDense,
     MechanismConfig,
     PauliString,
-    RankOneProjector,
     dense_matrix,
     expectation,
 )
@@ -53,14 +51,6 @@ BELL_QUBIT_CAP = 5              # dense rho (x) rho
 SIGN_ZERO_ATOL = 1e-12
 
 TRACE_FIELDS = ["query_id", "answer", "noise_scale", "budget_remaining"]
-
-
-def save_trace(rows: Sequence[dict], path) -> None:
-    """Session audit log, one line per answered query."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=TRACE_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +114,12 @@ class DpMedianSession:
         self.answered += 1
         self.trace.append({
             "query_id": self.answered - 1, "answer": answer,
-            "noise_scale": self.cfg.epsilon,
+            # exponential mechanism: weights exp(eps * u / 2) over a
+            # sensitivity-1 utility, i.e. scale 2 / eps
+            "noise_scale": 2.0 / self.cfg.epsilon,
             "budget_remaining": self.cfg.M - self.answered,
         })
         return answer
-
-
-def dp_median_mechanism(ds: ShadowDataset, queries: Iterable, cfg: MechanismConfig,
-                        rng: Optional[np.random.Generator] = None,
-                        gamma: Optional[float] = None) -> list[float]:
-    """Answer a scripted query list with one DpMedianSession."""
-    session = DpMedianSession(ds, cfg, rng=rng, gamma=gamma)
-    return [session.query(q) for q in queries]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +167,22 @@ class PmwSession:
         self._cache: dict[bytes, float] = {}
         self._threshold_noise = self.rng.laplace(0.0, self.noise_scale)
         self.trace: list[dict] = []
+
+    @classmethod
+    def from_shadows(cls, ds: ShadowDataset, cfg: MechanismConfig,
+                     rng: Optional[np.random.Generator] = None,
+                     threshold: Optional[float] = None,
+                     eta: Optional[float] = None) -> "PmwSession":
+        """Session over the histogram of the 6^n Pauli snapshot encodings;
+        answer an observable by querying ``query_value_table(obs, n)``."""
+        codes = encode_snapshots(ds)
+        n = ds.bases.shape[1]
+        U = 6**n
+        if U > UNIVERSE_CAP:   # refuse before bincount allocates 6^n floats
+            raise UniverseTooLarge(f"6^{n} exceeds {UNIVERSE_CAP}")
+        hist = np.bincount(codes, minlength=U).astype(float)
+        return cls(hist / len(codes), len(codes), cfg, rng=rng,
+                   threshold=threshold, eta=eta)
 
     def _log(self, answer: float, scale: float) -> None:
         self.trace.append({
@@ -257,10 +257,6 @@ def encode_snapshots(ds: ShadowDataset) -> np.ndarray:
     return symbols @ radix
 
 
-def universe_size(n_qubits: int) -> int:
-    return 6**n_qubits
-
-
 def query_value_table(obs, n_qubits: int) -> np.ndarray:
     """tr(O rho_hat(code)) for every code, via per-qubit tensor contraction.
 
@@ -278,39 +274,6 @@ def query_value_table(obs, n_qubits: int) -> np.ndarray:
     # axis order is (s_0 .. s_{n-1}); codes index s_0 as the least
     # significant digit, so reverse before flattening
     return np.real(t.transpose(tuple(reversed(range(n_qubits)))).reshape(-1))
-
-
-def synthetic_density(weights: np.ndarray, n_qubits: int) -> np.ndarray:
-    """Sum of weighted inverse-channel snapshots: the PMW synthetic state."""
-    d = 2**n_qubits
-    rho = np.zeros((d, d), dtype=complex)
-    for code, w in enumerate(weights):
-        if w == 0.0:
-            continue
-        m = np.array([[1.0 + 0j]])
-        c = code
-        for _ in range(n_qubits):
-            m = np.kron(m, _ATOMS[c % 6])  # digit q is qubit q, leftmost factor
-            c //= 6
-        rho += w * m
-    return rho
-
-
-def pmw_tomography(ds: ShadowDataset, queries: Iterable, cfg: MechanismConfig,
-                   rng: Optional[np.random.Generator] = None,
-                   threshold: Optional[float] = None,
-                   eta: Optional[float] = None):
-    """PMW over the snapshot-encoding universe; returns (answers, session)."""
-    codes = encode_snapshots(ds)
-    n = ds.bases.shape[1]
-    U = universe_size(n)
-    if U > UNIVERSE_CAP:
-        raise UniverseTooLarge(f"6^{n} exceeds {UNIVERSE_CAP}")
-    hist = np.bincount(codes, minlength=U).astype(float) / len(codes)
-    session = PmwSession(hist, len(codes), cfg, rng=rng,
-                         threshold=threshold, eta=eta)
-    answers = [session.query(query_value_table(q, n)) for q in queries]
-    return answers, session
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +324,6 @@ class SqSession:
         return answer
 
 
-def sq_mechanism(records: Sequence, queries: Iterable, cfg: MechanismConfig,
-                 rng: Optional[np.random.Generator] = None,
-                 C: float = 1.0) -> list[float]:
-    session = SqSession(records, cfg, rng=rng, C=C)
-    return [session.query(q) for q in queries]
-
-
 # ---------------------------------------------------------------------------
 # Bell-sample Pauli pipeline
 # ---------------------------------------------------------------------------
@@ -387,17 +343,6 @@ _BELL_PAIR = np.array([
     [0, 0, 1, -1],
     [1, -1, 0, 0],
 ], dtype=complex) / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class BellSample:
-    """Per-qubit-pair Bell outcome indices (0..3) from one rho (x) rho round."""
-
-    outcomes: np.ndarray
-
-    @property
-    def n_qubits(self) -> int:
-        return self.outcomes.shape[0]
 
 
 def bell_probabilities(state: DenseState) -> np.ndarray:
@@ -440,10 +385,6 @@ def bell_samples(state: DenseState, count: int,
     return out
 
 
-def bell_sample(state: DenseState, rng: np.random.Generator) -> BellSample:
-    return BellSample(bell_samples(state, 1, rng)[0])
-
-
 def q_p_values(outcomes: np.ndarray, P: PauliString) -> np.ndarray:
     """q_P per sample: the product over qubits of the pair-sign table entries."""
     if outcomes.ndim == 1:
@@ -456,15 +397,8 @@ def q_p_values(outcomes: np.ndarray, P: PauliString) -> np.ndarray:
     return vals
 
 
-def pauli_magnitude_query(samples, P: PauliString) -> float:
-    """Empirical mean of q_P: unbiased for tr(P rho)^2."""
-    if isinstance(samples, np.ndarray):
-        outcomes = samples
-    else:
-        samples = list(samples)
-        if not samples:
-            raise EmptyDataset("no Bell samples")
-        outcomes = np.stack([s.outcomes for s in samples])
+def pauli_magnitude_query(outcomes: np.ndarray, P: PauliString) -> float:
+    """Empirical mean of q_P over (count, n) Bell outcomes: unbiased for tr(P rho)^2."""
     if outcomes.size == 0:
         raise EmptyDataset("no Bell samples")
     return float(q_p_values(outcomes, P).mean())
@@ -503,10 +437,3 @@ def adaptive_pauli_mechanism(state: DenseState, queries: Iterable[PauliString],
         answers.append(sign * math.sqrt(max(mag, 0.0)))
     return answers
 
-
-if __name__ == "__main__":
-    rng = np.random.default_rng(3)
-    rho = DenseState(np.diag([0.7, 0.3]).astype(complex))
-    print("bell probs |0><0|-ish:", bell_probabilities(rho))
-    outs = bell_samples(rho, 50_000, rng)
-    print("E[q_Z] ~ tr(Z rho)^2 = 0.16:", pauli_magnitude_query(outs, PauliString("Z")))

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import (
+    UNIT_NORM_ATOL,
     DenseState,
     DiagonalState,
     HermitianDense,
@@ -40,6 +41,7 @@ from .errors import (
     DimensionMismatch,
     EmptyDataset,
     IndivisibleBatching,
+    MalformedSnapshots,
     NonLocalObservable,
     RejectionBudgetExceeded,
     UnsupportedPair,
@@ -96,7 +98,10 @@ class PauliSnapshot:
 
     @staticmethod
     def decode(line: str) -> "PauliSnapshot":
-        pairs = [_SNAPSHOT_DECODE[c] for c in line.strip()]
+        try:
+            pairs = [_SNAPSHOT_DECODE[c] for c in line.strip()]
+        except KeyError as exc:
+            raise MalformedSnapshots(f"unknown snapshot symbol {exc.args[0]!r}") from None
         bases = np.array([p[0] for p in pairs], dtype=np.uint8)
         outcomes = np.array([p[1] for p in pairs], dtype=np.uint8)
         return PauliSnapshot(bases, outcomes)
@@ -147,11 +152,8 @@ class ShadowDataset:
         return cls("pauli", provenance, bases=arr_b, outcomes=arr_o)
 
     @classmethod
-    def from_povm(cls, snaps_or_vectors, provenance=None):
-        if isinstance(snaps_or_vectors, np.ndarray):
-            return cls("povm", provenance, vectors=snaps_or_vectors)
-        arr = np.stack([s.v for s in snaps_or_vectors])
-        return cls("povm", provenance, vectors=arr)
+    def from_povm(cls, vectors: np.ndarray, provenance=None):
+        return cls("povm", provenance, vectors=vectors)
 
     def __len__(self) -> int:
         if self.primitive == "pauli":
@@ -172,42 +174,6 @@ class ShadowDataset:
 # snapshot generation
 # ---------------------------------------------------------------------------
 
-def pauli_snapshot(state, rng: np.random.Generator) -> PauliSnapshot:
-    """Measure every qubit in an independently uniform X/Y/Z basis."""
-    if isinstance(state, DiagonalState):
-        bits = state.sample_base(rng)
-        n = state.n_base
-        bases = rng.integers(0, 3, size=n).astype(np.uint8)
-        coins = rng.integers(0, 2, size=n).astype(np.uint8)
-        outcomes = np.where(bases == 2, bits.astype(np.uint8), coins)
-        return PauliSnapshot(bases, outcomes)
-    if isinstance(state, DenseState):
-        n = state.n_qubits
-        if n > LOCALITY_CAP:
-            raise DimensionMismatch("dense measurement capped at 10 qubits")
-        bases = rng.integers(0, 3, size=n).astype(np.uint8)
-        outcomes = np.zeros(n, dtype=np.uint8)
-        rho = state.matrix
-        for q in range(n):
-            rho_t = rho.reshape(2**q, 2, 2**(n - q - 1), 2**q, 2, 2**(n - q - 1))
-            probs = np.empty(2)
-            collapsed = []
-            for b in (0, 1):
-                e = _EIGENSTATES[bases[q]][b]
-                # <e| rho |e> on qubit q, leaving a reduced matrix behind
-                red = np.einsum("a,iajxby,b->ixjy", e.conj(), rho_t, e)
-                p = float(np.real(np.einsum("ixix->", red)))
-                probs[b] = max(p, 0.0)
-                collapsed.append(red)
-            probs /= probs.sum()
-            b = int(rng.random() < probs[1])
-            outcomes[q] = b
-            m = 2**(n - 1)
-            rho = collapsed[b].reshape(m, m) / max(probs[b], 1e-300)
-        return PauliSnapshot(bases, outcomes)
-    raise TypeError(f"unknown state {type(state).__name__}")
-
-
 def collect_pauli_snapshots(state, count: int, rng: np.random.Generator,
                             provenance=None) -> ShadowDataset:
     """Vectorized batch of Pauli snapshots."""
@@ -218,10 +184,9 @@ def collect_pauli_snapshots(state, count: int, rng: np.random.Generator,
         coins = rng.integers(0, 2, size=(count, n)).astype(np.uint8)
         outcomes = np.where(bases == 2, bits.astype(np.uint8), coins)
         return ShadowDataset("pauli", provenance, bases=bases, outcomes=outcomes)
-    if isinstance(state, DenseState) and state.n_qubits <= 7:
+    if isinstance(state, DenseState):
         return collect_pauli_snapshots_dense(state, count, rng, provenance)
-    snaps = [pauli_snapshot(state, rng) for _ in range(count)]
-    return ShadowDataset.from_pauli(snaps, provenance)
+    raise TypeError(f"unknown state {type(state).__name__}")
 
 
 def collect_pauli_snapshots_dense(state: DenseState, count: int,
@@ -272,19 +237,6 @@ def _haar_vectors(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def povm_snapshot(state: DenseState, rng: np.random.Generator) -> PovmSnapshot:
-    """Draw one direction v with density d<v|rho|v> by rejection."""
-    if not isinstance(state, DenseState):
-        raise TypeError("povm_snapshot needs a dense state")
-    lam = float(state.eigenvalues.max())
-    for _ in range(REJECTION_BUDGET):
-        v = _haar_vectors(state.d, 1, rng)[0]
-        accept = float(np.real(v.conj() @ state.matrix @ v)) / lam
-        if rng.random() < accept:
-            return PovmSnapshot(v)
-    raise RejectionBudgetExceeded(f"no accept within {REJECTION_BUDGET} proposals")
-
-
 def collect_povm_snapshots(state: DenseState, count: int,
                            rng: np.random.Generator, provenance=None) -> ShadowDataset:
     """Batched rejection sampling of POVM snapshots."""
@@ -312,23 +264,6 @@ def collect_povm_snapshots(state: DenseState, count: int,
 # ---------------------------------------------------------------------------
 # per-snapshot estimates and dataset estimators
 # ---------------------------------------------------------------------------
-
-def snapshot_expectation(snap: PauliSnapshot, obs) -> float:
-    """Per-snapshot estimate for a Z-type observable on few qubits.
-
-    Each supported qubit contributes 3*(-1)^outcome; the magnitude is always
-    3^k for k supported qubits.
-    """
-    support = observable_support(obs)
-    if len(support) > LOCALITY_CAP:
-        raise NonLocalObservable(f"support {len(support)} exceeds cap {LOCALITY_CAP}")
-    if support and max(support) >= snap.n_qubits:
-        raise DimensionMismatch("observable support outside snapshot width")
-    value = 1.0
-    for q in support:
-        value *= 3.0 * (1.0 - 2.0 * int(snap.outcomes[q]))
-    return value
-
 
 def _povm_values(vectors: np.ndarray, obs, d: int) -> np.ndarray:
     """tr(O rho_hat) for a stack of POVM snapshots, vectorized."""
@@ -439,6 +374,8 @@ def load_pauli_text(path, provenance=None) -> ShadowDataset:
         snaps = [PauliSnapshot.decode(line) for line in fh if line.strip()]
     if not snaps:
         raise EmptyDataset(f"no snapshots in {path}")
+    if len({s.n_qubits for s in snaps}) > 1:
+        raise MalformedSnapshots(f"{path}: snapshot lines differ in length")
     return ShadowDataset.from_pauli(snaps, provenance)
 
 
@@ -458,16 +395,15 @@ def load_povm_binary(path, provenance=None) -> ShadowDataset:
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != POVM_MAGIC:
-            raise ValueError("bad POVM block header")
+            raise MalformedSnapshots(f"{path}: bad POVM block header")
         d, count = struct.unpack("<IQ", header[4:])
         body = fh.read()
+    if len(body) != 16 * d * count:
+        raise MalformedSnapshots(
+            f"{path}: body holds {len(body)} bytes, header promises {count} x {d} complex128")
     vectors = np.frombuffer(body, dtype="<c16").reshape(count, d)
+    norms = np.linalg.norm(vectors, axis=1)
+    if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_ATOL):
+        raise MalformedSnapshots(f"{path}: snapshot vectors must have unit norm")
     return ShadowDataset("povm", provenance, vectors=vectors.copy())
 
-
-if __name__ == "__main__":
-    rng = np.random.default_rng(1)
-    state = DiagonalState(4)
-    ds = collect_pauli_snapshots(state, 2000, rng)
-    print("Z_0 mean (expect ~0):", empirical_mean(ds, SingleQubitZ(0)))
-    print("first snapshot:", ds[0].encode())

@@ -18,7 +18,6 @@ the cap, which is a contract-breach signal rather than control flow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -41,7 +40,7 @@ from .errors import (
     NegativeResidualTrace,
     UnsupportedPair,
 )
-from .mechanisms import PmwSession, encode_snapshots, query_value_table, universe_size
+from .mechanisms import PmwSession, query_value_table
 from .shadows import collect_pauli_snapshots
 
 GS_CUTOFF = 1e-8
@@ -192,9 +191,7 @@ class PmwTomograph:
         self.padded = padded
         self.n = padded.n_qubits
         ds = collect_pauli_snapshots(DenseState(padded.matrix), cfg.N, rng)
-        codes = encode_snapshots(ds)
-        hist = np.bincount(codes, minlength=universe_size(self.n)).astype(float)
-        self.session = PmwSession(hist / len(codes), len(codes), cfg, rng=rng)
+        self.session = PmwSession.from_shadows(ds, cfg, rng=rng)
 
     def query(self, A: np.ndarray) -> float:
         if not np.any(A):
@@ -252,12 +249,6 @@ class MistakeLedger:
             "answer": answer, "truth": truth, "error": abs(answer - truth),
         })
 
-    def save(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=LEDGER_FIELDS)
-            writer.writeheader()
-            writer.writerows(self.rows)
-
 
 @dataclass
 class LearnerRun:
@@ -271,8 +262,8 @@ def _eigenpairs(obs, d: int):
     if isinstance(obs, RankOneProjector):
         return [(1.0, np.asarray(obs.vector, dtype=complex))]
     if isinstance(obs, HermitianDense):
-        w, V = np.linalg.eigh(obs.matrix)
-        return [(float(w[i]), V[:, i]) for i in range(len(w))]
+        V = obs.eigenvectors
+        return [(float(w), V[:, i]) for i, w in enumerate(obs.eigenvalues)]
     raise UnsupportedPair(f"learner cannot decompose {type(obs).__name__}")
 
 
@@ -284,9 +275,11 @@ def _observable_from_pairs(pairs, d: int):
 
 
 def _run_learner(state: DenseState, queries, cfg: MechanismConfig, teacher,
-                 tomograph_factory: Callable, rng: np.random.Generator,
-                 mode: str, R: Optional[int] = None,
+                 tomograph_factory: Callable,
+                 rng: Optional[np.random.Generator], mode: str,
+                 R: Optional[int] = None,
                  enforce_cap: bool = True) -> LearnerRun:
+    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     d = state.d
     eps = cfg.epsilon
     if mode == "single":
@@ -337,18 +330,16 @@ def _run_learner(state: DenseState, queries, cfg: MechanismConfig, teacher,
         mistake = verdict == "Mistake"
         if mistake:
             if mode == "single":
-                _, _, perp = projections[0]
+                _, coords, perp = projections[0]
                 witness = 0.0
                 if perp > GS_CUTOFF:
                     v = retained[0][1]
-                    coords, _ = sub.project(v)
                     r = v - sub.basis_matrix().T @ coords
                     u = r / np.linalg.norm(r)
                     witness = float(np.real(u.conj() @ state.matrix @ u))
             else:
                 gaps = []
-                for w, v in retained:
-                    coords, _ = sub.project(v)
+                for (_, v), (_, coords, _) in zip(retained, projections):
                     psi_s = sub.basis_matrix().T @ coords
                     full = float(np.real(v.conj() @ state.matrix @ v))
                     inside = float(np.real(psi_s.conj() @ state.matrix @ psi_s))
@@ -376,7 +367,6 @@ def run_single_rank(state: DenseState, queries, cfg: MechanismConfig, teacher,
                     tomograph_factory: Callable = exact_tomograph_factory,
                     rng: Optional[np.random.Generator] = None,
                     enforce_cap: bool = True) -> LearnerRun:
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     return _run_learner(state, queries, cfg, teacher, tomograph_factory, rng,
                         mode="single", enforce_cap=enforce_cap)
 
@@ -386,7 +376,6 @@ def run_bounded_frobenius(state: DenseState, queries, cfg: MechanismConfig,
                           tomograph_factory: Callable = exact_tomograph_factory,
                           rng: Optional[np.random.Generator] = None,
                           enforce_cap: bool = True) -> LearnerRun:
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     return _run_learner(state, queries, cfg, teacher, tomograph_factory, rng,
                         mode="frobenius", enforce_cap=enforce_cap)
 
@@ -396,7 +385,6 @@ def run_low_rank(state: DenseState, queries, cfg: MechanismConfig, teacher,
                  tomograph_factory: Callable = exact_tomograph_factory,
                  rng: Optional[np.random.Generator] = None,
                  enforce_cap: bool = True) -> LearnerRun:
-    rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     return _run_learner(state, queries, cfg, teacher, tomograph_factory, rng,
                         mode="lowrank", R=R, enforce_cap=enforce_cap)
 
@@ -404,7 +392,7 @@ def run_low_rank(state: DenseState, queries, cfg: MechanismConfig, teacher,
 def discarded_spectrum_mass(obs: HermitianDense, state: DenseState,
                             epsilon: float) -> float:
     """|sum of w <psi|rho|psi> over the |w| <= eps/2 eigenstates| (exact)."""
-    w, V = np.linalg.eigh(obs.matrix)
+    w, V = obs.eigenvalues, obs.eigenvectors
     mass = 0.0
     for i in range(len(w)):
         if abs(w[i]) <= epsilon / 2.0:

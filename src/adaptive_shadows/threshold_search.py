@@ -20,10 +20,8 @@ supplies a DP-median correction on every Mistake.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,13 +36,6 @@ from .mechanisms import DpMedianSession
 from .shadows import ShadowDataset, snapshot_values
 
 SESSION_LOG_FIELDS = ["query_id", "theta", "answer", "correction", "no_count"]
-
-
-def save_session_log(rows: Sequence[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SESSION_LOG_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -73,18 +64,6 @@ def truncate_value(raw: float, T: float) -> float:
 # ---------------------------------------------------------------------------
 # sparse vector
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ThresholdQuery:
-    """An observable and a threshold in [0, 1]."""
-
-    obs: object
-    theta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta}")
-
 
 class SparseVectorSession:
     """Above-threshold answers with an ell-budget of "No"s.
@@ -128,21 +107,6 @@ class SparseVectorSession:
                 self.halted = True
             return "No"
         return "Yes"
-
-
-def sparse_vector(records, queries: Iterable, epsilon: float, delta: float,
-                  ell: int, rng: np.random.Generator,
-                  M: Optional[int] = None) -> list[str]:
-    """Answer a scripted (query, threshold) list, stopping at the halting "No"."""
-    queries = list(queries)
-    session = SparseVectorSession(records, epsilon, delta, ell,
-                                  M if M is not None else max(len(queries), 1), rng)
-    answers = []
-    for q, theta in queries:
-        answers.append(session.ask(q, theta))
-        if session.halted:
-            break
-    return answers
 
 
 # ---------------------------------------------------------------------------
@@ -195,34 +159,17 @@ class ShadowThresholdSession:
         return answer
 
 
-def shadow_threshold_search(ds: ShadowDataset, queries: Iterable,
-                            cfg: MechanismConfig,
-                            rng: Optional[np.random.Generator] = None) -> list[str]:
-    """Answer a scripted ThresholdQuery list, stopping when the budget halts."""
-    session = ShadowThresholdSession(ds, cfg, rng=rng)
-    answers = []
-    for tq in queries:
-        obs, theta = (tq.obs, tq.theta) if isinstance(tq, ThresholdQuery) else tq
-        answers.append(session.ask(obs, theta))
-        if session.halted:
-            break
-    return answers
-
-
 # ---------------------------------------------------------------------------
 # closeness teacher
 # ---------------------------------------------------------------------------
 
-def _complement_observable(obs) -> HermitianDense:
-    """I - O for an effect (eigenvalues in [0, 1])."""
-    if isinstance(obs, RankOneProjector):
-        d = obs.d
-        return HermitianDense(np.eye(d) - np.outer(obs.vector, obs.vector.conj()))
+def _require_effect(obs) -> None:
+    """Teacher queries must be effects (eigenvalues in [0, 1]), so I - O is one too."""
     if isinstance(obs, HermitianDense):
         if obs.eigenvalues.min() < -1e-9 or obs.eigenvalues.max() > 1.0 + 1e-9:
             raise UnsupportedPair("teacher queries must be effects (0 <= O <= I)")
-        return HermitianDense(np.eye(obs.d) - obs.matrix)
-    raise UnsupportedPair(f"no complement rule for {type(obs).__name__}")
+    elif not isinstance(obs, RankOneProjector):
+        raise UnsupportedPair(f"no complement rule for {type(obs).__name__}")
 
 
 class ClosenessTeacher:
@@ -254,13 +201,13 @@ class ClosenessTeacher:
         if self.mistakes >= self.cfg.ell:
             raise Halted(f"teacher mistake budget ell={self.cfg.ell} spent")
         eps = self.cfg.epsilon
-        complement = _complement_observable(obs)
+        _require_effect(obs)
         # tr((I-O)|v><v|) identity: the complement's snapshot values are
-        # 1 - the original's, so one pass over the dataset covers both sides
+        # 1 - the original's, so one pass over the dataset covers both
+        # sides, and ask needs no observable for I - O once given values
         vals = snapshot_values(self.search.ds, obs)
         over = self.search.ask(obs, guess + eps, values=vals)
-        under = self.search.ask(complement, 1.0 - guess + eps,
-                                values=1.0 - vals)
+        under = self.search.ask(None, 1.0 - guess + eps, values=1.0 - vals)
         self._round += 1
         if over == "Yes" and under == "Yes":
             self.log.append({
@@ -282,16 +229,6 @@ class ClosenessTeacher:
         return "Mistake", mu
 
 
-def closeness_teacher(ds: ShadowDataset, queries: Iterable,
-                      cfg: MechanismConfig,
-                      rng: Optional[np.random.Generator] = None,
-                      correction_session: Optional[DpMedianSession] = None) -> list:
-    """Scripted (observable, guess) list -> [(verdict, correction), ...]."""
-    teacher = ClosenessTeacher(ds, cfg, rng=rng,
-                               correction_session=correction_session)
-    return [teacher.check(obs, guess) for obs, guess in queries]
-
-
 def mistake_budget_plan(ell: int, base_samples: int) -> int:
     """Total samples to provision for ell mistakes under strong composition.
 
@@ -302,10 +239,3 @@ def mistake_budget_plan(ell: int, base_samples: int) -> int:
         raise ValueError("ell and base_samples must be >= 1")
     return math.ceil(base_samples * math.sqrt(ell))
 
-
-if __name__ == "__main__":
-    print("T(B=1, eps=0.48) =", truncation_level(1.0, 0.48))
-    rng = np.random.default_rng(0)
-    ans = sparse_vector(None, [(1.0, 0.0), (0.0, 0.5), (1.0, 0.0), (1.0, 0.0)],
-                        epsilon=0.1, delta=0.01, ell=2, rng=rng)
-    print("svt answers:", ans)

@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from adaptive_shadows.core import write_csv
 from adaptive_shadows.errors import InvalidPair, LengthMismatch
 from adaptive_shadows.ifpc import (
     GAME_LOG_FIELDS,
@@ -30,7 +31,6 @@ from adaptive_shadows.ifpc import (
     run_ifpc_game,
     run_local_attack,
     run_pauli_attack,
-    save_game_log,
 )
 
 
@@ -198,7 +198,7 @@ class TestGameState:
                       M=30, rng=np.random.default_rng(23), log_rows=rows)
         assert len(rows) == 30
         path = tmp_path / "game.csv"
-        save_game_log(rows, path)
+        write_csv(path, GAME_LOG_FIELDS, rows)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == GAME_LOG_FIELDS

@@ -14,6 +14,7 @@ from adaptive_shadows.core import (
     RankOneProjector,
     SingleQubitZ,
     expectation,
+    write_csv,
 )
 from adaptive_shadows.errors import (
     BudgetExhausted,
@@ -24,20 +25,16 @@ from adaptive_shadows.errors import (
 )
 from adaptive_shadows.mechanisms import (
     TRACE_FIELDS,
-    BellSample,
     DpMedianSession,
     PmwSession,
     SqSession,
     adaptive_pauli_mechanism,
     bell_probabilities,
-    bell_sample,
     bell_samples,
-    dp_median_mechanism,
     pauli_magnitude_query,
     pauli_sign_oracle,
-    pmw_tomography,
     q_p_values,
-    save_trace,
+    query_value_table,
     truncation_interval,
 )
 from adaptive_shadows.shadows import (
@@ -112,6 +109,15 @@ class TestDpMedian:
         with pytest.raises(BudgetExhausted):
             session.query(obs)
 
+    def test_trace_records_the_exponential_mechanism_scale(self):
+        """Weights exp(eps u / 2) on a sensitivity-1 utility: scale 2 / eps."""
+        rng = np.random.default_rng(15)
+        ds = collect_povm_snapshots(_random_density(2, rng), 64, rng)
+        cfg = MechanismConfig(N=64, M=2, epsilon=0.4, K=8, seed=6)
+        session = DpMedianSession(ds, cfg, rng=rng)
+        session.query(RankOneProjector(np.array([1.0, 0.0])))
+        assert session.trace[0]["noise_scale"] == pytest.approx(5.0)
+
     def test_batching_must_divide(self):
         rng = np.random.default_rng(13)
         rho = _random_density(2, rng)
@@ -126,7 +132,8 @@ class TestDpMedian:
         ds = collect_povm_snapshots(rho, 4096, rng)
         cfg = MechanismConfig(N=4096, M=3, epsilon=0.6, K=64, seed=5)
         obs = RankOneProjector(np.array([1.0, 0.0]))
-        answers = dp_median_mechanism(ds, [obs] * 3, cfg, rng=rng)
+        session = DpMedianSession(ds, cfg, rng=rng)
+        answers = [session.query(obs) for _ in range(3)]
         truth = expectation(rho, obs)
         assert len(answers) == 3
         for a in answers:
@@ -200,7 +207,8 @@ class TestPmw:
         ds = collect_pauli_snapshots(rho, 4096, rng)
         cfg = self._cfg(N=4096, M=8, m_bits=2)
         queries = [PauliString("ZI"), PauliString("IZ"), PauliString("ZZ")]
-        answers, session = pmw_tomography(ds, queries, cfg, rng=rng)
+        session = PmwSession.from_shadows(ds, cfg, rng=rng)
+        answers = [session.query(query_value_table(q, 2)) for q in queries]
         assert len(answers) == 3
         for q, a in zip(queries, answers):
             assert abs(a - expectation(rho, q)) < 0.35, f"{q.symbols}: {a}"
@@ -248,7 +256,7 @@ class TestSqSession:
         for _ in range(3):
             session.query(np.ones(50))
         path = tmp_path / "trace.csv"
-        save_trace(session.trace, path)
+        write_csv(path, TRACE_FIELDS, session.trace)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == TRACE_FIELDS
@@ -270,8 +278,8 @@ class TestBellPipeline:
         a = bell_samples(rho, 100, np.random.default_rng(53))
         b = bell_samples(rho, 100, np.random.default_rng(53))
         assert np.array_equal(a, b)
-        one = bell_sample(rho, np.random.default_rng(53))
-        assert isinstance(one, BellSample) and one.n_qubits == 1
+        one = bell_samples(rho, 1, np.random.default_rng(53))
+        assert one.shape == (1, 1)
 
     def test_q_values_for_ground_state_z(self):
         rho = DenseState(np.diag([1.0, 0.0]).astype(complex))

@@ -16,8 +16,11 @@ from adaptive_shadows.core import (
     expectation,
 )
 from adaptive_shadows.errors import (
+    DimensionMismatch,
     EmptyDataset,
     IndivisibleBatching,
+    MalformedSnapshots,
+    NonLocalObservable,
     UnsupportedPair,
 )
 from adaptive_shadows.shadows import (
@@ -31,14 +34,11 @@ from adaptive_shadows.shadows import (
     load_pauli_text,
     load_povm_binary,
     median_of_means,
-    pauli_snapshot,
     povm_moment_bound,
-    povm_snapshot,
     povm_tail_bound,
     save_pauli_text,
     save_povm_binary,
     shadow_norm_bound,
-    snapshot_expectation,
     snapshot_values,
 )
 
@@ -88,13 +88,16 @@ class TestPauliSnapshots:
         """X measurement of |+> gives outcome 0 every time."""
         plus = DenseState(np.full((2, 2), 0.5, dtype=complex))
         rng = np.random.default_rng(3)
-        hits = 0
-        for _ in range(300):
-            snap = pauli_snapshot(plus, rng)
-            if snap.bases[0] == 0:
-                hits += 1
-                assert snap.outcomes[0] == 0
-        assert hits > 50
+        ds = collect_pauli_snapshots(plus, 300, rng)
+        x_rows = ds.bases[:, 0] == 0
+        assert x_rows.sum() > 50
+        assert np.all(ds.outcomes[x_rows, 0] == 0)
+
+    def test_dense_states_are_capped_at_seven_qubits(self):
+        """The Born-table sampler enumerates 3^n bases; 8 qubits is refused."""
+        rho = DenseState(np.eye(256, dtype=complex) / 256)
+        with pytest.raises(DimensionMismatch):
+            collect_pauli_snapshots(rho, 10, np.random.default_rng(4))
 
     def test_dense_batch_matches_exact_born_table(self):
         """Empirical (basis, outcome) cells match kron-built Born probabilities."""
@@ -121,16 +124,21 @@ class TestPauliSnapshots:
                         )
 
 
+def _one_snapshot_value(snap, obs) -> float:
+    (value,) = snapshot_values(ShadowDataset.from_pauli([snap]), obs)
+    return value
+
+
 class TestSnapshotExpectation:
     def test_matching_z_basis_gives_plus_three(self):
         snap = PauliSnapshot(
             np.array([2, 0], dtype=np.uint8), np.array([0, 1], dtype=np.uint8)
         )
-        assert snapshot_expectation(snap, SingleQubitZ(0)) == 3.0
+        assert _one_snapshot_value(snap, SingleQubitZ(0)) == 3.0
         snap2 = PauliSnapshot(
             np.array([2], dtype=np.uint8), np.array([1], dtype=np.uint8)
         )
-        assert snapshot_expectation(snap2, SingleQubitZ(0)) == -3.0
+        assert _one_snapshot_value(snap2, SingleQubitZ(0)) == -3.0
 
     def test_mismatched_basis_is_fair_pm_three(self):
         """Non-Z cells contribute a +-3 coin with mean 0."""
@@ -147,15 +155,27 @@ class TestSnapshotExpectation:
         snap = PauliSnapshot(
             np.array([0, 1], dtype=np.uint8), np.array([1, 1], dtype=np.uint8)
         )
-        assert snapshot_expectation(snap, ZParity(())) == 1.0
+        assert _one_snapshot_value(snap, ZParity(())) == 1.0
 
     def test_magnitude_is_three_to_the_k(self):
         snap = PauliSnapshot(
             np.array([2, 2, 1], dtype=np.uint8),
             np.array([1, 0, 1], dtype=np.uint8),
         )
-        val = snapshot_expectation(snap, ZParity((0, 1, 2)))
+        val = _one_snapshot_value(snap, ZParity((0, 1, 2)))
         assert abs(val) == 27.0, f"3-local magnitude must be 27, got {val}"
+
+    def test_support_beyond_the_locality_cap_is_refused(self):
+        ds = collect_pauli_snapshots(DiagonalState(12), 4,
+                                     np.random.default_rng(5))
+        with pytest.raises(NonLocalObservable):
+            snapshot_values(ds, ZParity(tuple(range(11))))
+
+    def test_support_beyond_the_snapshot_width_is_refused(self):
+        ds = collect_pauli_snapshots(DiagonalState(3), 4,
+                                     np.random.default_rng(6))
+        with pytest.raises(DimensionMismatch):
+            snapshot_values(ds, ZParity((1, 3)))
 
 
 class TestPovmSnapshots:
@@ -166,8 +186,7 @@ class TestPovmSnapshots:
     def test_implied_trace_is_one(self):
         rng = np.random.default_rng(31)
         rho = _random_density(4, rng)
-        for _ in range(10):
-            snap = povm_snapshot(rho, rng)
+        for snap in collect_povm_snapshots(rho, 10, rng):
             assert np.trace(snap.implied_matrix()).real == pytest.approx(1.0)
 
     def test_mean_snapshot_reconstructs_the_state(self):
@@ -334,3 +353,41 @@ class TestSerialization:
         assert len(raw) == 16 + 12 * 4 * 16  # complex128 entries
         back = load_povm_binary(path)
         assert np.array_equal(back.vectors, ds.vectors)
+
+    def _povm_file(self, tmp_path, count=3):
+        rng = np.random.default_rng(73)
+        ds = collect_povm_snapshots(_random_density(2, rng), count, rng)
+        path = tmp_path / "snaps.bin"
+        save_povm_binary(ds, path)
+        return path
+
+    def test_truncated_povm_body_is_malformed(self, tmp_path):
+        path = self._povm_file(tmp_path)
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(MalformedSnapshots):
+            load_povm_binary(path)
+
+    def test_non_unit_povm_vector_is_malformed(self, tmp_path):
+        path = tmp_path / "snaps.bin"
+        save_povm_binary(ShadowDataset.from_povm(
+            np.array([[2.0, 0.0]], dtype=complex)), path)
+        with pytest.raises(MalformedSnapshots):
+            load_povm_binary(path)
+
+    def test_bad_povm_magic_is_malformed(self, tmp_path):
+        path = self._povm_file(tmp_path)
+        path.write_bytes(b"MVOP" + path.read_bytes()[4:])
+        with pytest.raises(MalformedSnapshots):
+            load_povm_binary(path)
+
+    def test_unknown_pauli_symbol_is_malformed(self, tmp_path):
+        path = tmp_path / "snaps.txt"
+        path.write_text("+-01\n+x01\n")
+        with pytest.raises(MalformedSnapshots):
+            load_pauli_text(path)
+
+    def test_ragged_pauli_lines_are_malformed(self, tmp_path):
+        path = tmp_path / "snaps.txt"
+        path.write_text("+-01\n+-0\n")
+        with pytest.raises(MalformedSnapshots):
+            load_pauli_text(path)

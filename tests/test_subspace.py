@@ -13,6 +13,7 @@ from adaptive_shadows.core import (
     PauliString,
     RankOneProjector,
     expectation,
+    write_csv,
 )
 from adaptive_shadows.errors import (
     CapExceeded,
@@ -262,7 +263,7 @@ class TestSingleRankLearner:
         cfg = MechanismConfig(N=10, M=3, epsilon=0.25, seed=6)
         run = run_single_rank(rho, queries, cfg, ExactTeacher(rho, 0.25))
         path = tmp_path / "ledger.csv"
-        run.ledger.save(path)
+        write_csv(path, LEDGER_FIELDS, run.ledger.rows)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == LEDGER_FIELDS

@@ -13,6 +13,7 @@ from adaptive_shadows.core import (
     PauliString,
     RankOneProjector,
     expectation,
+    write_csv,
 )
 from adaptive_shadows.errors import (
     Halted,
@@ -31,12 +32,7 @@ from adaptive_shadows.threshold_search import (
     ClosenessTeacher,
     ShadowThresholdSession,
     SparseVectorSession,
-    ThresholdQuery,
-    closeness_teacher,
     mistake_budget_plan,
-    save_session_log,
-    shadow_threshold_search,
-    sparse_vector,
     truncate_value,
     truncation_level,
 )
@@ -103,8 +99,13 @@ class TestSparseVector:
     def test_wrapper_stops_at_the_halting_no(self):
         rng = np.random.default_rng(109)
         stream = [(1.0, 0.0)] * 5 + [(0.0, 0.5)]
-        answers = sparse_vector(None, stream, epsilon=0.1, delta=0.01,
-                                ell=2, rng=rng)
+        session = SparseVectorSession(None, epsilon=0.1, delta=0.01, ell=2,
+                                      M=len(stream), rng=rng)
+        answers = []
+        for q, theta in stream:
+            answers.append(session.ask(q, theta))
+            if session.halted:
+                break
         assert answers == ["No", "No", "No"]
 
     def test_parameter_validation(self):
@@ -189,14 +190,13 @@ class TestShadowThresholdSession:
         cfg = MechanismConfig(N=4000, M=10, epsilon=0.3, delta=0.05,
                               B=3.0, ell=1, seed=0)
         obs = RankOneProjector(np.array([1.0, 0.0]))
-        stream = [ThresholdQuery(obs, 0.0)] * 4
-        answers = shadow_threshold_search(ds, stream, cfg, rng=rng)
+        session = ShadowThresholdSession(ds, cfg, rng=rng)
+        answers = []
+        for _ in range(4):
+            answers.append(session.ask(obs, 0.0))
+            if session.halted:
+                break
         assert answers == ["No", "No"]  # second No exceeds ell=1 and halts
-
-    def test_threshold_query_validates_range(self):
-        obs = RankOneProjector(np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            ThresholdQuery(obs, 1.5)
 
     def test_log_rows_carry_the_session_fields(self, tmp_path):
         rho = DenseState(np.diag([1.0, 0.0]).astype(complex))
@@ -205,7 +205,7 @@ class TestShadowThresholdSession:
         session.ask(obs, 0.0)
         session.ask(obs, 0.9)
         path = tmp_path / "log.csv"
-        save_session_log(session.log, path)
+        write_csv(path, SESSION_LOG_FIELDS, session.log)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == SESSION_LOG_FIELDS
@@ -290,7 +290,7 @@ class TestClosenessTeacher:
         assert [row["answer"] for row in teacher.log] == ["Pass", "Mistake"]
         assert teacher.log[1]["correction"] != ""
         path = tmp_path / "teacher.csv"
-        save_session_log(teacher.log, path)
+        write_csv(path, SESSION_LOG_FIELDS, teacher.log)
         with open(path, newline="") as fh:
             assert csv.DictReader(fh).fieldnames == SESSION_LOG_FIELDS
 
@@ -317,7 +317,8 @@ class TestClosenessTeacher:
                               B=3.0, ell=4, seed=1)
         obs = RankOneProjector(np.array([1.0, 0.0]))
         truth = expectation(rho, obs)
-        results = closeness_teacher(ds, [(obs, truth), (obs, truth)], cfg, rng=rng)
+        teacher = ClosenessTeacher(ds, cfg, rng=rng)
+        results = [teacher.check(obs, truth) for _ in range(2)]
         assert [v for v, _ in results] == ["Pass", "Pass"]
 
 
