@@ -14,7 +14,7 @@ Subpackages by concern:
 
 from .core import (DenseState, HermitianDense, MechanismConfig, PauliString,
                    RankOneProjector, Round, SingleQubitZ, Transcript, ZParity,
-                   evaluate_accuracy, expectation, spawn_rngs)
+                   expectation, spawn_rngs)
 from .errors import (AcceptanceFailure, BudgetExhausted, ConfigError,
                      DimensionMismatch, Halted, InvalidPair, LengthMismatch,
                      MalformedCsv, MalformedSnapshots, PrimitiveMismatch,
@@ -32,29 +32,29 @@ from .subspace import (ExactTeacher, LearnerRun, Subspace,
                        frobenius_mistake_cap, low_rank_mistake_cap,
                        run_bounded_frobenius, run_low_rank, run_single_rank,
                        single_rank_mistake_cap)
-from .ifpc import (EmpiricalMeanMechanism, FingerprintingCode, GameState,
-                   OtpKeypair, ScoreTracingCode, otp_decrypt, otp_encrypt,
-                   run_ifpc_game, run_local_attack, run_pauli_attack)
+from .ifpc import (EmpiricalMeanMechanism, GameState, ScoreTracingCode,
+                   otp_decrypt, otp_encrypt, run_ifpc_game, run_local_attack,
+                   run_pauli_attack)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AcceptanceFailure", "BudgetExhausted", "ClosenessTeacher", "ConfigError",
     "DenseState", "DimensionMismatch", "DpMedianSession",
-    "EmpiricalMeanMechanism", "ExactTeacher", "FingerprintingCode",
-    "GameState", "Halted", "HermitianDense", "InvalidPair", "LearnerRun",
-    "LengthMismatch", "MalformedCsv", "MalformedSnapshots", "MechanismConfig",
-    "OtpKeypair", "PauliString", "PmwSession", "PrimitiveMismatch",
-    "RankOneProjector", "Round", "ScoreTracingCode", "ShadowThresholdSession",
-    "SingleQubitZ", "SparseVectorSession", "SqSession", "Subspace",
-    "Transcript", "UnsupportedPair", "ZParity", "adaptive_pauli_mechanism",
+    "EmpiricalMeanMechanism", "ExactTeacher", "GameState", "Halted",
+    "HermitianDense", "InvalidPair", "LearnerRun", "LengthMismatch",
+    "MalformedCsv", "MalformedSnapshots", "MechanismConfig", "PauliString",
+    "PmwSession", "PrimitiveMismatch", "RankOneProjector", "Round",
+    "ScoreTracingCode", "ShadowThresholdSession", "SingleQubitZ",
+    "SparseVectorSession", "SqSession", "Subspace", "Transcript",
+    "UnsupportedPair", "ZParity", "adaptive_pauli_mechanism",
     "attack_experiment", "bell_samples", "collect_pauli_snapshots",
-    "collect_povm_snapshots", "empirical_mean", "evaluate_accuracy",
-    "expectation", "frobenius_mistake_cap", "low_rank_mistake_cap",
-    "median_of_means", "otp_decrypt", "otp_encrypt", "povm_moment_bound",
-    "povm_tail_bound", "run_adaptive_attack", "run_bounded_frobenius",
-    "run_ifpc_game", "run_local_attack", "run_low_rank",
-    "run_nonadaptive_baseline", "run_pauli_attack", "run_single_rank",
-    "shadow_norm_bound", "single_rank_mistake_cap", "snapshot_values",
-    "spawn_rngs", "truncation_level",
+    "collect_povm_snapshots", "empirical_mean", "expectation",
+    "frobenius_mistake_cap", "low_rank_mistake_cap", "median_of_means",
+    "otp_decrypt", "otp_encrypt", "povm_moment_bound", "povm_tail_bound",
+    "run_adaptive_attack", "run_bounded_frobenius", "run_ifpc_game",
+    "run_local_attack", "run_low_rank", "run_nonadaptive_baseline",
+    "run_pauli_attack", "run_single_rank", "shadow_norm_bound",
+    "single_rank_mistake_cap", "snapshot_values", "spawn_rngs",
+    "truncation_level",
 ]

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DiagonalState, spawn_rngs, write_csv
+from .core import DiagonalState, spawn_rngs
 from .errors import DimensionMismatch
 
 # OR columns over this many near-fair coordinates are 1 every round except
@@ -276,17 +276,18 @@ def run_nonadaptive_baseline(N: int, M: int, rng: np.random.Generator) -> Baseli
 # experiment grid
 # ---------------------------------------------------------------------------
 
-def attack_experiment(N: int, M_list: Sequence[int], runs: int, seed: int,
-                      out_path=None, method: str = "auto") -> list[dict]:
+def attack_experiment(N: int, M_list: Sequence[int], runs: int,
+                      seed: int) -> list[dict]:
     """Adaptive vs non-adaptive error over a grid of query budgets M.
 
-    One row per (M, mode) with the mean and sample std of the run errors.
+    One row per (M, mode) with the mean and sample std of the run errors,
+    keyed by ``GRID_FIELDS``.
     """
     rows = []
     rngs = spawn_rngs(seed, 2 * len(M_list))
     for j, M in enumerate(M_list):
         rng_a, rng_n = rngs[2 * j], rngs[2 * j + 1]
-        errs_a = np.array([run_adaptive_attack(N, M, rng_a, method).error
+        errs_a = np.array([run_adaptive_attack(N, M, rng_a).error
                            for _ in range(runs)])
         errs_n = np.array([run_nonadaptive_baseline(N, M, rng_n).max_error
                            for _ in range(runs)])
@@ -297,7 +298,5 @@ def attack_experiment(N: int, M_list: Sequence[int], runs: int, seed: int,
                 "error_std": float(errs.std(ddof=1)) if runs > 1 else 0.0,
                 "seed": seed,
             })
-    if out_path is not None:
-        write_csv(out_path, GRID_FIELDS, rows)
     return rows
 

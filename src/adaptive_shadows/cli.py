@@ -6,9 +6,11 @@ One subcommand per experiment id:
     povm-concentration, pauli-bell
 
 Shared flags: --seed, --trials, --out, --config, --threads. Config files are
-flat ``key = value`` lines (``#`` comments allowed); any key may also be set
-through an environment variable with the ``ADSH_`` prefix (``ADSH_EPSILON=0.2``),
-and --seed/--trials/--threads win over both. Each run writes
+flat ``key = value`` lines (``#`` comments allowed) over the MechanismConfig
+fields and the extra keys the experiment's ``EXPERIMENTS`` row lists; any
+other key is an error. Each of those keys may also be set through an
+environment variable with the ``ADSH_`` prefix (``ADSH_EPSILON=0.2``), and
+--seed/--trials/--threads win over both. Each run writes
 ``<out>/<id>.csv`` (RFC-4180) and ``<out>/<id>_summary.json`` with means,
 stds and a pass/fail verdict against the embedded thresholds; every data row
 carries (seed, build, config_hash) so outputs are self-describing. Reruns
@@ -48,12 +50,10 @@ from .threshold_search import SparseVectorSession
 
 ENV_PREFIX = "ADSH_"
 
-# config keys the experiment spec recognizes: every MechanismConfig field
-# except the seed (a flag), plus the handful of experiment-specific extras
-_CFG_FIELDS = ("N", "M", "epsilon", "delta", "B", "R", "ell", "K",
-               "d_users", "m_bits")
-_INT_FIELDS = {"N", "M", "R", "ell", "K", "d_users", "m_bits"}
-_EXTRA_FIELDS = ("m_grid", "gamma", "tolerance")
+# config key -> caster for every MechanismConfig field except the seed (a
+# flag); experiment-specific extra keys are listed in each EXPERIMENTS row
+_CFG_FIELDS = {f.name: type(f.default)
+               for f in dataclasses.fields(MechanismConfig) if f.name != "seed"}
 
 DEFAULT_TRIALS = 20
 
@@ -97,8 +97,8 @@ def load_config(path) -> dict[str, str]:
     return out
 
 
-def _apply_env(conf: dict, environ: dict) -> None:
-    for key in list(_CFG_FIELDS) + list(_EXTRA_FIELDS):
+def _apply_env(conf: dict, environ: dict, keys) -> None:
+    for key in keys:
         env_key = ENV_PREFIX + key.upper()
         if env_key in environ:
             conf[key] = environ[env_key]
@@ -114,27 +114,28 @@ def build_spec(experiment: str, seed: int, trials: int, out: str,
         raise ConfigError("trials must be >= 1")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
-    conf: dict = dict(DEFAULT_CONFIGS[experiment])
+    exp = EXPERIMENTS[experiment]
+    conf: dict = dict(exp.defaults)
     if config_path is not None:
         conf.update(load_config(config_path))
     if environ is None:
         import os
         environ = os.environ
-    _apply_env(conf, environ)
+    _apply_env(conf, environ, [*_CFG_FIELDS, *exp.extras])
 
     cfg_kwargs: dict = {"seed": seed}
     extras: dict = {}
     for key, value in conf.items():
         if key in _CFG_FIELDS:
-            caster = int if key in _INT_FIELDS else float
             try:
-                cfg_kwargs[key] = caster(value)
+                cfg_kwargs[key] = _CFG_FIELDS[key](value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key}={value!r}: {exc}") from exc
-        elif key in _EXTRA_FIELDS:
+        elif key in exp.extras:
             extras[key] = value
         else:
-            raise ConfigError(f"unrecognized config key {key!r}")
+            raise ConfigError(
+                f"config key {key!r} is not read by {experiment}")
     try:
         cfg = MechanismConfig(**cfg_kwargs)
     except ValueError as exc:
@@ -305,8 +306,7 @@ def _pmw_trial(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
 def _threshold_trial(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
     cfg = spec.cfg
     truths = rng.uniform(0.0, 1.0, size=cfg.d_users)
-    session = SparseVectorSession(truths, cfg.epsilon, cfg.delta,
-                                  cfg.ell, cfg.M, rng)
+    session = SparseVectorSession(cfg.epsilon, cfg.delta, cfg.ell, cfg.M, rng)
     violations = 0
     asked = 0
     for _ in range(cfg.M):
@@ -443,12 +443,14 @@ def _pauli_bell_trial(spec: ExperimentSpec, trial: int,
 class Experiment(NamedTuple):
     """One ``adsh`` experiment: config defaults (anything unlisted falls back
     to MechanismConfig), the row producer, the CSV columns ahead of (seed,
-    build, config_hash), and the scorer returning (metrics, passed)."""
+    build, config_hash), the scorer returning (metrics, passed), and the
+    extra config keys beyond MechanismConfig that the experiment reads."""
 
     defaults: dict
     rows: Callable[[ExperimentSpec], list]
     fields: list
     score: Callable
+    extras: tuple
 
 
 _ANSWER_FIELDS = ["trial", "query", "answer", "truth", "error"]
@@ -461,36 +463,37 @@ _TOLERANCE_SCORE = _within_tolerance(
 EXPERIMENTS: dict[str, Experiment] = {
     "attack": Experiment(
         {"N": 10_000, "m_grid": "100,200,400,800,1600,3200,6400,10000"},
-        _attack_grid, GRID_FIELDS, _score_attack),
+        _attack_grid, GRID_FIELDS, _score_attack, ("m_grid",)),
     "dp-median": Experiment(
         {"N": 8192, "M": 16, "epsilon": 0.3, "K": 256, "m_bits": 3},
         _dp_median_trial, _ANSWER_FIELDS,
-        _within_tolerance(lambda spec: spec.cfg.epsilon, "epsilon")),
+        _within_tolerance(lambda spec: spec.cfg.epsilon, "epsilon"),
+        ("gamma",)),
     "pmw": Experiment(
         {"N": 32768, "M": 200, "epsilon": 0.5, "delta": 0.05, "ell": 20000,
          "m_bits": 8, "tolerance": 0.1},
-        _pmw_trial, _ANSWER_FIELDS, _TOLERANCE_SCORE),
+        _pmw_trial, _ANSWER_FIELDS, _TOLERANCE_SCORE, ("tolerance",)),
     "threshold": Experiment(
         {"d_users": 8, "M": 200, "epsilon": 0.3, "ell": 10, "delta": 0.05},
         _threshold_trial, ["trial", "asked", "violations", "no_count"],
-        _score_threshold),
+        _score_threshold, ()),
     "subspace": Experiment(
         {"m_bits": 4, "M": 64, "epsilon": 0.3},
         _subspace_trial, ["trial", "mistakes", "max_error", "k_final"],
-        _score_subspace),
+        _score_subspace, ()),
     "ifpc-local": Experiment({"N": 5, "M": 625}, _ifpc_trial, _IFPC_FIELDS,
-                             _score_ifpc),
+                             _score_ifpc, ()),
     "ifpc-pauli": Experiment({"N": 5, "M": 625}, _ifpc_trial, _IFPC_FIELDS,
-                             _score_ifpc),
+                             _score_ifpc, ()),
     "povm-concentration": Experiment(
         {"m_bits": 3, "N": 20000},
         _povm_concentration_trial, ["trial", "tau", "tail", "bound"],
-        _score_povm_concentration),
+        _score_povm_concentration, ()),
     "pauli-bell": Experiment(
         {"m_bits": 3, "N": 100_000, "M": 100, "epsilon": 0.15},
         _pauli_bell_trial,
         ["trial", "query", "pauli", "answer", "truth", "error"],
-        _TOLERANCE_SCORE),
+        _TOLERANCE_SCORE, ("tolerance",)),
 }
 
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
@@ -591,8 +594,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adsh",
         description="Seeded experiment runner; writes CSV + summary JSON.",
-        epilog=f"Config keys: {', '.join(_CFG_FIELDS + _EXTRA_FIELDS)}; "
-               f"each can be overridden via {ENV_PREFIX}<KEY>.")
+        epilog=f"Config keys: {', '.join(_CFG_FIELDS)}; extra keys: "
+               + "; ".join(f"{exp_id} {', '.join(exp.extras)}"
+                           for exp_id, exp in EXPERIMENTS.items() if exp.extras)
+               + f". Each can be overridden via {ENV_PREFIX}<KEY>.")
     sub = parser.add_subparsers(dest="experiment", required=True,
                                 metavar="{" + ",".join(EXPERIMENT_IDS) + "}")
     for exp_id in EXPERIMENT_IDS:

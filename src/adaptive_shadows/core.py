@@ -19,11 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyTranscript,
-    NonDiagonalObservableOnDiagonalState,
-)
+from .errors import DimensionMismatch, NonDiagonalObservableOnDiagonalState
 
 HERMITIAN_ATOL = 1e-10
 TRACE_ATOL = 1e-10
@@ -72,8 +68,9 @@ class DiagonalState:
     def n_qubits(self) -> int:
         return self.n_base
 
-    def sample_base(self, rng: np.random.Generator) -> np.ndarray:
-        return (rng.random(self.n_base) < self._probs).astype(np.int8)
+    def sample_base(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """(count, n_base) draws of the base coins from one uniform block."""
+        return (rng.random((count, self.n_base)) < self._probs).astype(np.int8)
 
     def coordinate_bit(self, index: int, base: np.ndarray) -> int:
         """Bit at a logical coordinate given the sampled base coins."""
@@ -282,7 +279,7 @@ def dense_matrix(obs, n_qubits: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# expectation & sampling
+# expectation
 # ---------------------------------------------------------------------------
 
 def expectation(state, obs) -> float:
@@ -308,31 +305,8 @@ def expectation(state, obs) -> float:
     raise TypeError(f"unknown state {type(state).__name__}")
 
 
-class BitstringSample:
-    """One draw from a diagonal state; derived coordinates computed on demand."""
-
-    __slots__ = ("_state", "base")
-
-    def __init__(self, state: DiagonalState, base: np.ndarray):
-        self._state = state
-        self.base = base
-
-    def bit(self, index: int) -> int:
-        return self._state.coordinate_bit(index, self.base)
-
-    def __getitem__(self, index: int) -> int:
-        return self.bit(index)
-
-
-def sample_bitstring(state: DiagonalState, rng: np.random.Generator) -> BitstringSample:
-    """Draw one bitstring; only the base coins are materialized."""
-    if not isinstance(state, DiagonalState):
-        raise TypeError("sample_bitstring needs a diagonal state")
-    return BitstringSample(state, state.sample_base(rng))
-
-
 # ---------------------------------------------------------------------------
-# transcript & accuracy
+# transcript
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -353,14 +327,6 @@ class Transcript:
         return len(self.rounds)
 
 
-def evaluate_accuracy(transcript: Transcript, epsilon: float) -> dict:
-    """Max |truth - answer| over the transcript and whether it exceeds epsilon."""
-    if not transcript.rounds:
-        raise EmptyTranscript("no rounds to score")
-    max_error = max(abs(r.truth - r.answer) for r in transcript.rounds)
-    return {"max_error": max_error, "violated": max_error > epsilon}
-
-
 # ---------------------------------------------------------------------------
 # configuration & seeding
 # ---------------------------------------------------------------------------
@@ -374,7 +340,6 @@ class MechanismConfig:
     epsilon: float = 0.1
     delta: float = 0.05
     B: float = 1.0
-    R: int = 1
     ell: int = 10
     K: int = 10
     seed: int = 0
@@ -382,7 +347,7 @@ class MechanismConfig:
     m_bits: int = 8
 
     def __post_init__(self):
-        for name in ("N", "M", "R", "ell", "K", "d_users", "m_bits"):
+        for name in ("N", "M", "ell", "K", "d_users", "m_bits"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.epsilon <= 0.0:

@@ -22,10 +22,6 @@ class NonDiagonalObservableOnDiagonalState(AdaptiveShadowsError):
     """A diagonal (bitstring-distribution) state only supports diagonal observables."""
 
 
-class EmptyTranscript(AdaptiveShadowsError):
-    """Accuracy evaluation needs at least one answered round."""
-
-
 # shadows ---------------------------------------------------------------------
 
 class NonLocalObservable(AdaptiveShadowsError):
@@ -85,10 +81,6 @@ class NonpositiveT(AdaptiveShadowsError):
 
 
 # subspace learner -------------------------------------------------------------
-
-class CapExceeded(AdaptiveShadowsError):
-    """The subspace grew beyond its configured dimension cap."""
-
 
 class NegativeResidualTrace(AdaptiveShadowsError):
     """Compressed state trace exceeds 1; numerical breakage upstream."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -40,6 +39,8 @@ from .core import Transcript
 from .errors import InvalidPair, LengthMismatch
 
 FORCED_ERROR_LEVEL = 0.99
+UNANIMOUS_RATE = 0.12    # share of constant challenge columns
+MIN_SCORED = 25          # scored rounds before the first accusation
 
 GAME_LOG_FIELDS = [
     "round", "challenge_hash", "answer", "rounded",
@@ -114,75 +115,36 @@ def parity_decrypt_identity(sk_bit: int, pair) -> int:
     return (enc_one[0] * p[0] + enc_one[1] * p[1]) % 2
 
 
-@dataclass(frozen=True)
-class OtpKeypair:
-    """A secret key plus the doubled-encoding transforms bound to it."""
-
-    sk: tuple[int, ...]
-
-    @classmethod
-    def generate(cls, d: int, rng: np.random.Generator) -> "OtpKeypair":
-        return cls(tuple(int(b) for b in rng.integers(0, 2, size=d)))
-
-    def encrypt(self, m):
-        return otp_encrypt(np.array(self.sk, dtype=np.uint8), _as_bits(m, "m"))
-
-    def decrypt(self, c):
-        return otp_decrypt(np.array(self.sk, dtype=np.uint8), _as_bits(c, "c"))
-
-
 # ---------------------------------------------------------------------------
 # fingerprinting codes
 # ---------------------------------------------------------------------------
 
-class FingerprintingCode(ABC):
-    """Per-round contract: emit a challenge column, consume a rounded answer,
-    accuse a (possibly empty) set of users. Implementations must never accuse
-    a user twice."""
-
-    d: int
-
-    @abstractmethod
-    def challenge(self, rng: np.random.Generator) -> np.ndarray:
-        """Next challenge column c^j in {0,1}^d."""
-
-    @abstractmethod
-    def observe(self, answer: int) -> list[int]:
-        """Consume the rounded answer for the pending column; return I^j."""
-
-    @property
-    @abstractmethod
-    def accused(self) -> frozenset:
-        """Users accused so far."""
-
-
-class ScoreTracingCode(FingerprintingCode):
+class ScoreTracingCode:
     """Correlation-score tracing with per-round thresholds.
 
+    Per round: emit a challenge column, consume a rounded answer, accuse a
+    (possibly empty) set of users; no user is accused twice.
+
     Challenge columns are iid uniform bits except for occasional constant
-    columns (rate ``unanimous_rate``). Constant columns are the only rounds
+    columns (rate ``UNANIMOUS_RATE``). Constant columns are the only rounds
     where one answer can disagree with every user at once, so they are what
     eventually corners an adversary whose sources have all been accused.
     Scoring runs only on the non-constant columns: user i earns +1 when its
     bit matches the (claimed-bit) answer and -1 otherwise, and is accused
-    once its score crosses tau * sqrt(scored rounds).
+    once its score crosses tau * sqrt(scored rounds), and not before
+    ``MIN_SCORED`` scored rounds.
 
     The collusion-resilience of this baseline is validated empirically, not
     proven; tau = 5 keeps the false-accusation count well under d/2000 for
     the game sizes exercised here.
     """
 
-    def __init__(self, d: int, tau: float = 5.0, unanimous_rate: float = 0.12,
-                 invert_answers: bool = False, min_scored: int = 25):
+    def __init__(self, d: int, tau: float = 5.0, invert_answers: bool = False):
         if d < 1:
             raise ValueError("d must be >= 1")
-        if not (0.0 <= unanimous_rate < 1.0):
-            raise ValueError("unanimous_rate must lie in [0, 1)")
         self.d = d
         self.tau = float(tau)
-        self.unanimous_rate = float(unanimous_rate)
         self.invert_answers = bool(invert_answers)
-        self.min_scored = int(min_scored)
         self._score = np.zeros(d)
         self._accused_mask = np.zeros(d, dtype=bool)
         self._scored_rounds = 0
@@ -196,7 +158,7 @@ class ScoreTracingCode(FingerprintingCode):
     def challenge(self, rng: np.random.Generator) -> np.ndarray:
         if self._pending is not None:
             raise RuntimeError("previous challenge was never answered")
-        if rng.random() < self.unanimous_rate:
+        if rng.random() < UNANIMOUS_RATE:
             column = np.full(self.d, int(rng.integers(0, 2)), dtype=np.uint8)
             self._pending_uniform = False
         else:
@@ -215,7 +177,7 @@ class ScoreTracingCode(FingerprintingCode):
         if self._pending_uniform:
             self._scored_rounds += 1
             self._score += np.where(self._pending == bit, 1.0, -1.0)
-            if self._scored_rounds >= self.min_scored:
+            if self._scored_rounds >= MIN_SCORED:
                 cut = self.tau * math.sqrt(self._scored_rounds)
                 hot = np.flatnonzero((self._score >= cut) & ~self._accused_mask)
                 for i in hot:
@@ -309,7 +271,7 @@ def _challenge_hash(column: np.ndarray) -> str:
     return hashlib.sha1(column.tobytes()).hexdigest()[:12]
 
 
-def run_ifpc_game(code: FingerprintingCode, adversary, N: int, d: int, M: int,
+def run_ifpc_game(code: ScoreTracingCode, adversary, N: int, d: int, M: int,
                   rng: np.random.Generator,
                   log_rows: Optional[list] = None) -> GameState:
     """Play M rounds of the bare collusion game.
@@ -504,7 +466,7 @@ class AttackResult:
 
 def _run_code_attack(build_state, build_query, mechanism, N: int, M: int,
                      rng: np.random.Generator, simulated: bool,
-                     code: Optional[FingerprintingCode]) -> AttackResult:
+                     code: Optional[ScoreTracingCode]) -> AttackResult:
     d = 2000 * N
     if code is None:
         code = ScoreTracingCode(d, invert_answers=True)
@@ -573,7 +535,7 @@ def _pauli_query(state: PauliLowerBoundState, j: int,
 
 def run_local_attack(mechanism, N: int, M: int, rng: np.random.Generator,
                      simulated: bool = False,
-                     code: Optional[FingerprintingCode] = None) -> AttackResult:
+                     code: Optional[ScoreTracingCode] = None) -> AttackResult:
     """Shuffled-coordinate attack with d = 2000N users.
 
     Each round hides the (accused-zeroed) challenge column at a fresh lazily
@@ -589,7 +551,7 @@ def run_local_attack(mechanism, N: int, M: int, rng: np.random.Generator,
 
 def run_pauli_attack(mechanism, N: int, M: int, rng: np.random.Generator,
                      simulated: bool = False,
-                     code: Optional[FingerprintingCode] = None) -> AttackResult:
+                     code: Optional[ScoreTracingCode] = None) -> AttackResult:
     """Padded-parity attack with d = 2000N users and a fresh key per round.
 
     The challenge column is encrypted with the round's pad and queried as a Z

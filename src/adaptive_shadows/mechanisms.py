@@ -24,7 +24,7 @@ answer, noise_scale, budget_remaining.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -93,8 +93,12 @@ class DpMedianSession:
             raise BudgetExhausted(f"query budget M={self.cfg.M} spent")
         B = shadow_norm_bound(obs, self.ds.primitive)
         bound = truncation_interval(max(B, 0.0), self.batch_size)
-        vals = values if values is not None else snapshot_values(self.ds, obs)
-        means = vals.reshape(self.cfg.K, self.batch_size).mean(axis=1)
+        if values is None:
+            values = snapshot_values(self.ds, obs)
+        elif len(values) != len(self.ds):
+            raise DimensionMismatch(
+                f"{len(values)} values for {len(self.ds)} snapshots")
+        means = values.reshape(self.cfg.K, self.batch_size).mean(axis=1)
         means = np.clip(means, -bound, bound)
 
         npts = int(math.floor(2.0 * bound / self.gamma)) + 1
@@ -139,8 +143,7 @@ class PmwSession:
     """
 
     def __init__(self, histogram: np.ndarray, n_records: int, cfg: MechanismConfig,
-                 rng: Optional[np.random.Generator] = None,
-                 threshold: Optional[float] = None, eta: Optional[float] = None):
+                 rng: Optional[np.random.Generator] = None):
         h = np.asarray(histogram, dtype=float)
         if h.ndim != 1 or len(h) < 2:
             raise DimensionMismatch("histogram must be a vector over the universe")
@@ -158,9 +161,8 @@ class PmwSession:
         # over all threshold/comparison draws of the run.
         self.noise_scale = (4.0 / (n_records * cfg.epsilon)) * math.log(
             2.0 * (cfg.M + cfg.ell + 1) / cfg.delta)
-        self.threshold = threshold if threshold is not None else max(
-            10.0 * self.noise_scale, 0.04)
-        self.eta = eta if eta is not None else self.threshold / 2.0
+        self.threshold = max(10.0 * self.noise_scale, 0.04)
+        self.eta = self.threshold / 2.0
         self.weights = np.full(self.U, 1.0 / self.U)
         self.updates = 0
         self.answered = 0
@@ -170,9 +172,7 @@ class PmwSession:
 
     @classmethod
     def from_shadows(cls, ds: ShadowDataset, cfg: MechanismConfig,
-                     rng: Optional[np.random.Generator] = None,
-                     threshold: Optional[float] = None,
-                     eta: Optional[float] = None) -> "PmwSession":
+                     rng: Optional[np.random.Generator] = None) -> "PmwSession":
         """Session over the histogram of the 6^n Pauli snapshot encodings;
         answer an observable by querying ``query_value_table(obs, n)``."""
         codes = encode_snapshots(ds)
@@ -181,8 +181,7 @@ class PmwSession:
         if U > UNIVERSE_CAP:   # refuse before bincount allocates 6^n floats
             raise UniverseTooLarge(f"6^{n} exceeds {UNIVERSE_CAP}")
         hist = np.bincount(codes, minlength=U).astype(float)
-        return cls(hist / len(codes), len(codes), cfg, rng=rng,
-                   threshold=threshold, eta=eta)
+        return cls(hist / len(codes), len(codes), cfg, rng=rng)
 
     def _log(self, answer: float, scale: float) -> None:
         self.trace.append({
@@ -303,15 +302,13 @@ class SqSession:
         self.answered = 0
         self.trace: list[dict] = []
 
-    def query(self, q: Union[Callable, np.ndarray]) -> float:
+    def query(self, values: np.ndarray) -> float:
+        """Noised, clamped mean of one value per record."""
         if self.answered >= self.cfg.M:
             raise BudgetExhausted(f"query budget M={self.cfg.M} spent")
-        if callable(q):
-            vals = np.array([q(r) for r in self.records], dtype=float)
-        else:
-            vals = np.asarray(q, dtype=float)
-            if len(vals) != len(self.records):
-                raise DimensionMismatch("value vector length != record count")
+        vals = np.asarray(values, dtype=float)
+        if len(vals) != len(self.records):
+            raise DimensionMismatch("value vector length != record count")
         vals = np.clip(vals, -self.C, self.C)
         answer = float(np.clip(vals.mean() + self.rng.normal(0.0, self.sigma),
                                -self.C, self.C))
@@ -395,13 +392,6 @@ def q_p_values(outcomes: np.ndarray, P: PauliString) -> np.ndarray:
     for q, s in enumerate(P.symbols):
         vals *= BELL_SIGN_TABLE[s][outcomes[:, q]]
     return vals
-
-
-def pauli_magnitude_query(outcomes: np.ndarray, P: PauliString) -> float:
-    """Empirical mean of q_P over (count, n) Bell outcomes: unbiased for tr(P rho)^2."""
-    if outcomes.size == 0:
-        raise EmptyDataset("no Bell samples")
-    return float(q_p_values(outcomes, P).mean())
 
 
 def pauli_sign_oracle(state: DenseState, P: PauliString,

@@ -125,14 +125,13 @@ class PovmSnapshot:
 class ShadowDataset:
     """Columnar collection of snapshots from a single primitive."""
 
-    def __init__(self, primitive: str, provenance: Optional[dict] = None, *,
+    def __init__(self, primitive: str, *,
                  bases: Optional[np.ndarray] = None,
                  outcomes: Optional[np.ndarray] = None,
                  vectors: Optional[np.ndarray] = None):
         if primitive not in ("pauli", "povm"):
             raise ValueError(f"unknown primitive {primitive!r}")
         self.primitive = primitive
-        self.provenance = dict(provenance or {})
         if primitive == "pauli":
             if bases is None or outcomes is None or len(bases) == 0:
                 raise EmptyDataset("pauli dataset needs basis/outcome rows")
@@ -146,14 +145,14 @@ class ShadowDataset:
             self.vectors = np.asarray(vectors, dtype=complex)
 
     @classmethod
-    def from_pauli(cls, snaps: Sequence[PauliSnapshot], provenance=None):
+    def from_pauli(cls, snaps: Sequence[PauliSnapshot]):
         arr_b = np.stack([s.bases for s in snaps])
         arr_o = np.stack([s.outcomes for s in snaps])
-        return cls("pauli", provenance, bases=arr_b, outcomes=arr_o)
+        return cls("pauli", bases=arr_b, outcomes=arr_o)
 
     @classmethod
-    def from_povm(cls, vectors: np.ndarray, provenance=None):
-        return cls("povm", provenance, vectors=vectors)
+    def from_povm(cls, vectors: np.ndarray):
+        return cls("povm", vectors=vectors)
 
     def __len__(self) -> int:
         if self.primitive == "pauli":
@@ -174,24 +173,23 @@ class ShadowDataset:
 # snapshot generation
 # ---------------------------------------------------------------------------
 
-def collect_pauli_snapshots(state, count: int, rng: np.random.Generator,
-                            provenance=None) -> ShadowDataset:
+def collect_pauli_snapshots(state, count: int,
+                            rng: np.random.Generator) -> ShadowDataset:
     """Vectorized batch of Pauli snapshots."""
     if isinstance(state, DiagonalState):
         n = state.n_base
-        bits = np.stack([state.sample_base(rng) for _ in range(count)])
+        bits = state.sample_base(rng, count)
         bases = rng.integers(0, 3, size=(count, n)).astype(np.uint8)
         coins = rng.integers(0, 2, size=(count, n)).astype(np.uint8)
         outcomes = np.where(bases == 2, bits.astype(np.uint8), coins)
-        return ShadowDataset("pauli", provenance, bases=bases, outcomes=outcomes)
+        return ShadowDataset("pauli", bases=bases, outcomes=outcomes)
     if isinstance(state, DenseState):
-        return collect_pauli_snapshots_dense(state, count, rng, provenance)
+        return collect_pauli_snapshots_dense(state, count, rng)
     raise TypeError(f"unknown state {type(state).__name__}")
 
 
 def collect_pauli_snapshots_dense(state: DenseState, count: int,
-                                  rng: np.random.Generator,
-                                  provenance=None) -> ShadowDataset:
+                                  rng: np.random.Generator) -> ShadowDataset:
     """Batch sampler for dense states via precomputed per-basis Born tables.
 
     All 3^n basis combinations are enumerated once; each draw picks a combo
@@ -229,7 +227,7 @@ def collect_pauli_snapshots_dense(state: DenseState, count: int,
     for q in range(n):
         bases[:, q] = (combo_draws // 3 ** (n - 1 - q)) % 3
         outcomes[:, q] = (words >> (n - 1 - q)) & 1
-    return ShadowDataset("pauli", provenance, bases=bases, outcomes=outcomes)
+    return ShadowDataset("pauli", bases=bases, outcomes=outcomes)
 
 
 def _haar_vectors(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -238,7 +236,7 @@ def _haar_vectors(d: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def collect_povm_snapshots(state: DenseState, count: int,
-                           rng: np.random.Generator, provenance=None) -> ShadowDataset:
+                           rng: np.random.Generator) -> ShadowDataset:
     """Batched rejection sampling of POVM snapshots."""
     lam = float(state.eigenvalues.max())
     d = state.d
@@ -258,7 +256,7 @@ def collect_povm_snapshots(state: DenseState, count: int,
         proposals += m
         if proposals > REJECTION_BUDGET * max(count, 1) and filled == 0:
             raise RejectionBudgetExceeded("rejection sampler starving")
-    return ShadowDataset("povm", provenance, vectors=out)
+    return ShadowDataset("povm", vectors=out)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +367,14 @@ def save_pauli_text(ds: ShadowDataset, path) -> None:
             fh.write(snap.encode() + "\n")
 
 
-def load_pauli_text(path, provenance=None) -> ShadowDataset:
+def load_pauli_text(path) -> ShadowDataset:
     with open(path) as fh:
         snaps = [PauliSnapshot.decode(line) for line in fh if line.strip()]
     if not snaps:
         raise EmptyDataset(f"no snapshots in {path}")
     if len({s.n_qubits for s in snaps}) > 1:
         raise MalformedSnapshots(f"{path}: snapshot lines differ in length")
-    return ShadowDataset.from_pauli(snaps, provenance)
+    return ShadowDataset.from_pauli(snaps)
 
 
 def save_povm_binary(ds: ShadowDataset, path) -> None:
@@ -391,7 +389,7 @@ def save_povm_binary(ds: ShadowDataset, path) -> None:
         fh.write(body)
 
 
-def load_povm_binary(path, provenance=None) -> ShadowDataset:
+def load_povm_binary(path) -> ShadowDataset:
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:4] != POVM_MAGIC:
@@ -405,5 +403,5 @@ def load_povm_binary(path, provenance=None) -> ShadowDataset:
     norms = np.linalg.norm(vectors, axis=1)
     if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_ATOL):
         raise MalformedSnapshots(f"{path}: snapshot vectors must have unit norm")
-    return ShadowDataset("povm", provenance, vectors=vectors.copy())
+    return ShadowDataset("povm", vectors=vectors.copy())
 

@@ -34,7 +34,6 @@ from .core import (
     expectation,
 )
 from .errors import (
-    CapExceeded,
     DimensionMismatch,
     MistakeBudgetExceeded,
     NegativeResidualTrace,
@@ -44,6 +43,7 @@ from .mechanisms import PmwSession, query_value_table
 from .shadows import collect_pauli_snapshots
 
 GS_CUTOFF = 1e-8
+TEACHER_TRIGGER = 0.75  # ExactTeacher's Mistake level, in units of epsilon
 LEDGER_FIELDS = ["round", "mistake_flag", "k_after", "gap_witness",
                  "answer", "truth", "error"]
 
@@ -66,13 +66,11 @@ def frobenius_mistake_cap(epsilon: float, B: float) -> int:
 class Subspace:
     """Gram-Schmidt history of corrected directions."""
 
-    def __init__(self, d: int, cap: Optional[int] = None):
+    def __init__(self, d: int):
         if d < 1:
             raise ValueError(f"dimension must be >= 1, got {d}")
         self.d = d
-        self.cap = cap
         self.basis: list[np.ndarray] = []   # orthonormal, insertion order
-        self.raw_states: list[np.ndarray] = []
 
     @property
     def k(self) -> int:
@@ -100,7 +98,6 @@ class Subspace:
             v = np.asarray(v, dtype=complex)
             if v.shape != (self.d,):
                 raise DimensionMismatch(f"vector shape {v.shape} != ({self.d},)")
-            self.raw_states.append(v)
             resid = v.copy()
             for phi in self.basis:   # classical GS, re-orthogonalized once
                 resid -= (phi.conj() @ resid) * phi
@@ -108,8 +105,6 @@ class Subspace:
                 resid -= (phi.conj() @ resid) * phi
             nrm = np.linalg.norm(resid)
             if nrm > GS_CUTOFF:
-                if self.cap is not None and self.k + 1 > self.cap:
-                    raise CapExceeded(f"subspace cap {self.cap} reached")
                 self.basis.append(resid / nrm)
         return self
 
@@ -208,20 +203,19 @@ def make_pmw_tomograph_factory(cfg: MechanismConfig) -> Callable:
 class ExactTeacher:
     """Deterministic verifier against the true state, for harness runs.
 
-    Declares Mistake exactly when |truth - guess| > trigger * epsilon, the
-    tightest behavior an admissible teacher may show, and corrects with the
-    exact truth.
+    Declares Mistake exactly when |truth - guess| > TEACHER_TRIGGER * epsilon,
+    the tightest behavior an admissible teacher may show, and corrects with
+    the exact truth.
     """
 
-    def __init__(self, state: DenseState, epsilon: float, trigger: float = 0.75):
+    def __init__(self, state: DenseState, epsilon: float):
         self.state = state
         self.epsilon = epsilon
-        self.trigger = trigger
         self.mistakes = 0
 
     def check(self, obs, guess: float):
         truth = expectation(self.state, obs)
-        if abs(truth - guess) > self.trigger * self.epsilon:
+        if abs(truth - guess) > TEACHER_TRIGGER * self.epsilon:
             self.mistakes += 1
             return "Mistake", truth
         return "Pass", None
@@ -277,8 +271,7 @@ def _observable_from_pairs(pairs, d: int):
 def _run_learner(state: DenseState, queries, cfg: MechanismConfig, teacher,
                  tomograph_factory: Callable,
                  rng: Optional[np.random.Generator], mode: str,
-                 R: Optional[int] = None,
-                 enforce_cap: bool = True) -> LearnerRun:
+                 R: Optional[int] = None) -> LearnerRun:
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     d = state.d
     eps = cfg.epsilon
@@ -355,7 +348,7 @@ def _run_learner(state: DenseState, queries, cfg: MechanismConfig, teacher,
         truth = expectation(state, obs)
         ledger.record(idx, mistake, sub.k, witness, answer, truth)
         rounds.append(Round(query=obs, answer=answer, truth=truth))
-        if enforce_cap and ledger.mistake_count > cap:
+        if ledger.mistake_count > cap:
             raise MistakeBudgetExceeded(
                 f"{ledger.mistake_count} mistakes exceed the {cap} cap")
 
@@ -365,28 +358,25 @@ def _run_learner(state: DenseState, queries, cfg: MechanismConfig, teacher,
 
 def run_single_rank(state: DenseState, queries, cfg: MechanismConfig, teacher,
                     tomograph_factory: Callable = exact_tomograph_factory,
-                    rng: Optional[np.random.Generator] = None,
-                    enforce_cap: bool = True) -> LearnerRun:
+                    rng: Optional[np.random.Generator] = None) -> LearnerRun:
     return _run_learner(state, queries, cfg, teacher, tomograph_factory, rng,
-                        mode="single", enforce_cap=enforce_cap)
+                        mode="single")
 
 
 def run_bounded_frobenius(state: DenseState, queries, cfg: MechanismConfig,
                           teacher,
                           tomograph_factory: Callable = exact_tomograph_factory,
-                          rng: Optional[np.random.Generator] = None,
-                          enforce_cap: bool = True) -> LearnerRun:
+                          rng: Optional[np.random.Generator] = None) -> LearnerRun:
     return _run_learner(state, queries, cfg, teacher, tomograph_factory, rng,
-                        mode="frobenius", enforce_cap=enforce_cap)
+                        mode="frobenius")
 
 
 def run_low_rank(state: DenseState, queries, cfg: MechanismConfig, teacher,
                  R: int,
                  tomograph_factory: Callable = exact_tomograph_factory,
-                 rng: Optional[np.random.Generator] = None,
-                 enforce_cap: bool = True) -> LearnerRun:
+                 rng: Optional[np.random.Generator] = None) -> LearnerRun:
     return _run_learner(state, queries, cfg, teacher, tomograph_factory, rng,
-                        mode="lowrank", R=R, enforce_cap=enforce_cap)
+                        mode="lowrank", R=R)
 
 
 def discarded_spectrum_mass(obs: HermitianDense, state: DenseState,

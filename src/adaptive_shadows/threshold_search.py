@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import HermitianDense, MechanismConfig, RankOneProjector
 from .errors import (
+    DimensionMismatch,
     Halted,
     NonpositiveT,
     PrimitiveMismatch,
@@ -54,13 +55,6 @@ def truncation_level(B: float, epsilon: float) -> float:
     return T
 
 
-def truncate_value(raw: float, T: float) -> float:
-    """Sign-preserving clamp to [-T, T]."""
-    if T <= 0.0:
-        raise NonpositiveT(f"truncation level must be positive, got {T}")
-    return float(np.clip(raw, -T, T))
-
-
 # ---------------------------------------------------------------------------
 # sparse vector
 # ---------------------------------------------------------------------------
@@ -68,16 +62,15 @@ def truncate_value(raw: float, T: float) -> float:
 class SparseVectorSession:
     """Above-threshold answers with an ell-budget of "No"s.
 
-    Queries arrive as per-record value vectors (their mean is q(D)) or as
-    precomputed scalars.  Halts once the "No" count exceeds ell: the final
+    Queries arrive as precomputed scalars q(D) or as per-record value vectors
+    whose mean is q(D).  Halts once the "No" count exceeds ell: the final
     "No" is still emitted, every later call raises Halted.
     """
 
-    def __init__(self, records, epsilon: float, delta: float, ell: int,
-                 M: int, rng: np.random.Generator):
+    def __init__(self, epsilon: float, delta: float, ell: int, M: int,
+                 rng: np.random.Generator):
         if epsilon <= 0 or not 0 < delta < 1 or ell < 0 or M < 1:
             raise ValueError("bad sparse-vector parameters")
-        self.records = records
         self.gap = float(epsilon)
         self.ell = int(ell)
         self.rng = rng
@@ -88,17 +81,10 @@ class SparseVectorSession:
         self.halted = False
         self._threshold_noise = rng.laplace(0.0, self.noise_scale)
 
-    def _value(self, q) -> float:
-        if np.isscalar(q) or isinstance(q, float):
-            return float(q)
-        if callable(q):
-            return float(np.mean([q(r) for r in self.records]))
-        return float(np.mean(np.asarray(q, dtype=float)))
-
     def ask(self, q, theta: float) -> str:
         if self.halted:
             raise Halted(f"sparse vector spent its {self.ell} budget")
-        noisy = self._value(q) + self.rng.laplace(0.0, self.noise_scale)
+        noisy = float(np.mean(q)) + self.rng.laplace(0.0, self.noise_scale)
         centred = theta - self.gap / 2.0 + self._threshold_noise
         if noisy > centred:
             self.no_count += 1
@@ -131,7 +117,7 @@ class ShadowThresholdSession:
         self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.T = truncation_level(cfg.B, cfg.epsilon)
         self.svt = SparseVectorSession(
-            records=None, epsilon=cfg.epsilon / 3.0, delta=cfg.delta,
+            epsilon=cfg.epsilon / 3.0, delta=cfg.delta,
             ell=cfg.ell, M=cfg.M, rng=self.rng)
         self.log: list[dict] = []
         self._asked = 0
@@ -149,6 +135,9 @@ class ShadowThresholdSession:
         """Optionally takes per-snapshot values already computed for obs."""
         if values is None:
             values = snapshot_values(self.ds, obs)
+        elif len(values) != len(self.ds):
+            raise DimensionMismatch(
+                f"{len(values)} values for {len(self.ds)} snapshots")
         vals = np.clip(values, -self.T, self.T)
         answer = self.svt.ask(float(vals.mean()), theta - self.cfg.epsilon / 3.0)
         self._asked += 1
@@ -227,15 +216,3 @@ class ClosenessTeacher:
             "no_count": self.search.no_count,
         })
         return "Mistake", mu
-
-
-def mistake_budget_plan(ell: int, base_samples: int) -> int:
-    """Total samples to provision for ell mistakes under strong composition.
-
-    Per-mistake budgets shrink like 1/sqrt(ell), so the total grows as
-    sqrt(ell) times the single-mistake cost.
-    """
-    if ell < 1 or base_samples < 1:
-        raise ValueError("ell and base_samples must be >= 1")
-    return math.ceil(base_samples * math.sqrt(ell))
-

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from adaptive_shadows.attack import (
+    GRID_FIELDS,
     MajorityState,
     attack_experiment,
     index_to_subset,
@@ -20,7 +21,7 @@ from adaptive_shadows.core import (
     DiagonalState,
     SingleQubitZ,
     expectation,
-    sample_bitstring,
+    write_csv,
 )
 from adaptive_shadows.errors import DimensionMismatch
 
@@ -71,17 +72,14 @@ class TestMajorityState:
         state = MajorityState(3)
         idx = subset_to_index(3, ())
         assert expectation(state, SingleQubitZ(idx)) == 1.0
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            assert sample_bitstring(state, rng)[idx] == 0
+        for base in state.sample_base(np.random.default_rng(2), 20):
+            assert state.coordinate_bit(idx, base) == 0
 
     def test_singleton_coordinate_echoes_the_base_bit(self):
         state = MajorityState(3)
         idx = subset_to_index(3, (1,))
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            draw = sample_bitstring(state, rng)
-            assert draw[idx] == draw[1]
+        for base in state.sample_base(np.random.default_rng(4), 50):
+            assert state.coordinate_bit(idx, base) == base[1]
 
     def test_width_counts_every_subset(self):
         state = MajorityState(5)
@@ -181,7 +179,8 @@ class TestAttackExperiment:
 
     def test_csv_columns(self, tmp_path):
         path = tmp_path / "grid.csv"
-        attack_experiment(500, [100, 200], runs=2, seed=5, out_path=path)
+        write_csv(path, GRID_FIELDS,
+                  attack_experiment(500, [100, 200], runs=2, seed=5))
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == [

@@ -102,6 +102,19 @@ class TestBuildSpec:
         spec = _spec(tmp_path, experiment="pmw", config=conf)
         assert spec.extras["tolerance"] == "0.2"
 
+    def test_extra_key_the_experiment_does_not_read(self, tmp_path):
+        conf = tmp_path / "exp.conf"
+        conf.write_text("tolerance=0.2\n")
+        with pytest.raises(ConfigError):
+            _spec(tmp_path, experiment="dp-median", config=conf)
+
+    def test_env_sets_only_the_keys_the_experiment_reads(self, tmp_path):
+        environ = {"ADSH_TOLERANCE": "0.2", "ADSH_GAMMA": "0.01"}
+        assert _spec(tmp_path, experiment="threshold",
+                     environ=environ).extras == {}
+        assert _spec(tmp_path, experiment="dp-median",
+                     environ=environ).extras == {"gamma": "0.01"}
+
 
 class TestConfigHash:
     def test_stable_and_seed_free(self, tmp_path):
@@ -176,6 +189,19 @@ class TestMain:
         code = main(["threshold", "--trials", "0",
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("dp-median", "tolerance=0.000001"),
+        ("subspace", "R=2"),
+    ])
+    def test_key_the_experiment_does_not_read_exits_two(self, tmp_path,
+                                                        experiment, line):
+        conf = tmp_path / "exp.conf"
+        conf.write_text(line + "\n")
+        code = main([experiment, "--trials", "2", "--config", str(conf),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert not (tmp_path / "out" / f"{experiment}_summary.json").exists()
 
     def test_threshold_miss_exits_one(self, tmp_path):
         conf = tmp_path / "exp.conf"

@@ -18,6 +18,7 @@ from adaptive_shadows.core import (
 )
 from adaptive_shadows.errors import (
     BudgetExhausted,
+    DimensionMismatch,
     DimensionTooLarge,
     IndivisibleBatching,
     UniverseTooLarge,
@@ -31,7 +32,6 @@ from adaptive_shadows.mechanisms import (
     adaptive_pauli_mechanism,
     bell_probabilities,
     bell_samples,
-    pauli_magnitude_query,
     pauli_sign_oracle,
     q_p_values,
     query_value_table,
@@ -117,6 +117,16 @@ class TestDpMedian:
         session = DpMedianSession(ds, cfg, rng=rng)
         session.query(RankOneProjector(np.array([1.0, 0.0])))
         assert session.trace[0]["noise_scale"] == pytest.approx(5.0)
+
+    def test_value_vector_must_cover_the_dataset(self):
+        rng = np.random.default_rng(17)
+        ds = collect_povm_snapshots(_random_density(2, rng), 64, rng)
+        cfg = MechanismConfig(N=64, M=2, epsilon=0.4, K=8, seed=6)
+        session = DpMedianSession(ds, cfg, rng=rng)
+        with pytest.raises(DimensionMismatch):
+            session.query(RankOneProjector(np.array([1.0, 0.0])),
+                          values=np.ones(5))
+        assert session.answered == 0
 
     def test_batching_must_divide(self):
         rng = np.random.default_rng(13)
@@ -219,17 +229,8 @@ class TestSqSession:
         cfg = MechanismConfig(N=10_000, M=10, epsilon=0.1, delta=0.05, seed=6)
         records = np.zeros(10_000)
         session = SqSession(records, cfg, rng=np.random.default_rng(41), C=1.0)
-        answer = session.query(lambda r: 1.0)
+        answer = session.query(np.ones(10_000))
         assert 0.9 <= answer <= 1.0, f"clamped answer {answer}"
-
-    def test_callable_and_vector_routes_agree(self):
-        cfg = MechanismConfig(N=100, M=4, epsilon=0.5, delta=0.1, seed=7)
-        records = list(np.linspace(-1, 1, 100))
-        a = SqSession(records, cfg, rng=np.random.default_rng(43))
-        b = SqSession(records, cfg, rng=np.random.default_rng(43))
-        va = a.query(lambda r: r)
-        vb = b.query(np.array(records))
-        assert va == vb
 
     def test_nonadaptive_answers_match_plain_means(self):
         """The mechanism only pays for adaptivity: fixed queries track means."""
@@ -290,7 +291,7 @@ class TestBellPipeline:
     def test_q_x_has_zero_mean(self):
         rho = DenseState(np.diag([1.0, 0.0]).astype(complex))
         outs = bell_samples(rho, 100_000, np.random.default_rng(61))
-        mean = pauli_magnitude_query(outs, PauliString("X"))
+        mean = q_p_values(outs, PauliString("X")).mean()
         assert abs(mean) < 5 / np.sqrt(100_000), f"E[q_X] {mean}"
 
     def test_expectation_identity_is_exact(self):

@@ -16,7 +16,6 @@ from adaptive_shadows.core import (
     write_csv,
 )
 from adaptive_shadows.errors import (
-    CapExceeded,
     DimensionMismatch,
     MistakeBudgetExceeded,
     NegativeResidualTrace,
@@ -91,11 +90,6 @@ class TestSubspace:
         assert sub.k == 3
         for i in range(3):
             assert abs(sub.basis[i][i] - 1.0) < 1e-12
-
-    def test_cap_is_enforced(self):
-        sub = Subspace(4, cap=1).extend([E0.repeat(2)[:4]])
-        with pytest.raises(CapExceeded):
-            sub.extend([np.array([0, 1, 0, 0], dtype=complex)])
 
     def test_basis_stays_orthonormal_under_random_extends(self):
         rng = np.random.default_rng(11)

@@ -1,7 +1,6 @@
 """Truncated threshold search, sparse vector, and the closeness teacher."""
 
 import csv
-import math
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from adaptive_shadows.core import (
     write_csv,
 )
 from adaptive_shadows.errors import (
+    DimensionMismatch,
     Halted,
     NonpositiveT,
     PrimitiveMismatch,
@@ -32,8 +32,6 @@ from adaptive_shadows.threshold_search import (
     ClosenessTeacher,
     ShadowThresholdSession,
     SparseVectorSession,
-    mistake_budget_plan,
-    truncate_value,
     truncation_level,
 )
 
@@ -65,30 +63,28 @@ class TestTruncationLevel:
     def test_monotone_in_b(self):
         assert truncation_level(4.0, 0.3) > truncation_level(1.0, 0.3)
 
-    def test_truncate_value(self):
-        assert truncate_value(0.4, 3.0) == 0.4
-        assert truncate_value(-7.0, 3.0) == -3.0
+    def test_gap_past_48_gives_a_nonpositive_level(self):
         with pytest.raises(NonpositiveT):
-            truncate_value(1.0, 0.0)
+            truncation_level(1.0, 100.0)
 
 
 class TestSparseVector:
     def test_clear_queries_answer_per_contract(self):
         rng = np.random.default_rng(101)
-        session = SparseVectorSession(None, epsilon=0.1, delta=0.01,
+        session = SparseVectorSession(epsilon=0.1, delta=0.01,
                                       ell=5, M=10, rng=rng)
         assert session.ask(1.0, 0.0) == "No"
         assert session.ask(0.0, 0.5) == "Yes"
 
     def test_vector_queries_average_the_records(self):
         rng = np.random.default_rng(103)
-        session = SparseVectorSession(None, epsilon=0.1, delta=0.01,
+        session = SparseVectorSession(epsilon=0.1, delta=0.01,
                                       ell=5, M=10, rng=rng)
         assert session.ask(np.full(50, 0.9), 0.2) == "No"
 
     def test_budget_halts_on_the_third_no(self):
         rng = np.random.default_rng(107)
-        session = SparseVectorSession(None, epsilon=0.1, delta=0.01,
+        session = SparseVectorSession(epsilon=0.1, delta=0.01,
                                       ell=2, M=10, rng=rng)
         for _ in range(3):
             assert session.ask(1.0, 0.0) == "No"
@@ -99,7 +95,7 @@ class TestSparseVector:
     def test_wrapper_stops_at_the_halting_no(self):
         rng = np.random.default_rng(109)
         stream = [(1.0, 0.0)] * 5 + [(0.0, 0.5)]
-        session = SparseVectorSession(None, epsilon=0.1, delta=0.01, ell=2,
+        session = SparseVectorSession(epsilon=0.1, delta=0.01, ell=2,
                                       M=len(stream), rng=rng)
         answers = []
         for q, theta in stream:
@@ -111,9 +107,9 @@ class TestSparseVector:
     def test_parameter_validation(self):
         rng = np.random.default_rng(113)
         with pytest.raises(ValueError):
-            SparseVectorSession(None, epsilon=0.0, delta=0.01, ell=2, M=5, rng=rng)
+            SparseVectorSession(epsilon=0.0, delta=0.01, ell=2, M=5, rng=rng)
         with pytest.raises(ValueError):
-            SparseVectorSession(None, epsilon=0.1, delta=1.5, ell=2, M=5, rng=rng)
+            SparseVectorSession(epsilon=0.1, delta=1.5, ell=2, M=5, rng=rng)
 
 
 class TestShadowThresholdSession:
@@ -155,6 +151,13 @@ class TestShadowThresholdSession:
         vals = snapshot_values(b.ds, obs)
         for theta in (0.1, 0.4, 0.7):
             assert a.ask(obs, theta) == b.ask(obs, theta, values=vals)
+
+    def test_value_vector_must_cover_the_dataset(self):
+        rho = DenseState(np.diag([1.0, 0.0]).astype(complex))
+        session = self._session(rho, 141, count=64)
+        with pytest.raises(DimensionMismatch):
+            session.ask(None, 0.0, values=np.full(5, 100.0))
+        assert session.no_count == 0 and not session.log
 
     def test_adversarial_stream_has_zero_contract_violations(self):
         """Answer-dependent thresholds around exact truths, d=8, eps=0.3."""
@@ -321,15 +324,3 @@ class TestClosenessTeacher:
         results = [teacher.check(obs, truth) for _ in range(2)]
         assert [v for v, _ in results] == ["Pass", "Pass"]
 
-
-class TestMistakeBudgetPlan:
-    def test_square_root_scaling(self):
-        assert mistake_budget_plan(4, 100) == 200
-        assert mistake_budget_plan(1, 7) == 7
-        assert mistake_budget_plan(2, 100) == math.ceil(100 * math.sqrt(2))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            mistake_budget_plan(0, 100)
-        with pytest.raises(ValueError):
-            mistake_budget_plan(3, 0)
