@@ -94,12 +94,6 @@ class MajorityState(DiagonalState):
             return (index,)
         return index_to_subset(self.n_base, index)
 
-    def bit_one_probability(self, index: int) -> float:
-        if index < self.n_base:
-            return super().bit_one_probability(index)
-        k = len(index_to_subset(self.n_base, index))
-        return 1.0 - 0.5**k
-
     def parity_expectation(self, indices: Sequence[int]) -> float:
         indices = tuple(indices)
         if len(indices) == 1 and indices[0] >= self.n_base:
@@ -134,9 +128,6 @@ class BaselineResult:
     M: int
     N: int
     max_error: float
-    worst_query: str
-    base_errors_max: float
-    or_error: float
 
 
 # ---------------------------------------------------------------------------
@@ -151,11 +142,11 @@ def _final_answer(or_rounds: np.ndarray, N: int, rng: np.random.Generator) -> fl
     return 3.0 * (N - 2.0 * float(out.sum())) / N
 
 
-def _saturated_answer(N: int, rng: np.random.Generator) -> float:
-    """Final answer when the OR column is 1 in every round."""
+def _constant_answer(bit: int, N: int, rng: np.random.Generator) -> float:
+    """Final answer when the OR column is ``bit`` in every round."""
     n_inf = int(rng.binomial(N, 1.0 / 3.0))
     coin_ones = int(rng.binomial(N - n_inf, 0.5))
-    return 3.0 * (N - 2.0 * (n_inf + coin_ones)) / N
+    return 3.0 * (N - 2.0 * (bit * n_inf + coin_ones)) / N
 
 
 def _reconstruct_or_rounds(n_inf: np.ndarray, z_inf: np.ndarray, N: int,
@@ -221,12 +212,10 @@ def run_adaptive_attack(N: int, M: int, rng: np.random.Generator,
         sel = np.flatnonzero(a >= thr)
         if sel.size == 0:
             # empty OR column: informative rounds show the constant bit 0
-            n_d = int(rng.binomial(N, 1.0 / 3.0))
-            coin_ones = int(rng.binomial(N - n_d, 0.5))
-            answer = 3.0 * (N - 2.0 * coin_ones) / N
+            answer = _constant_answer(0, N, rng)
             truth = or_rule_expectation(0)
         elif sel.size >= OR_SATURATION:
-            answer = _saturated_answer(N, rng)
+            answer = _constant_answer(1, N, rng)
             truth = 0.0
         else:
             or_rounds = _reconstruct_or_rounds(n_inf[sel], z_inf[sel], N, rng)
@@ -257,19 +246,12 @@ def run_nonadaptive_baseline(N: int, M: int, rng: np.random.Generator) -> Baseli
     J = math.ceil(3 * M / 4)
     truth_or = or_rule_expectation(J)
     if J >= OR_SATURATION:
-        answer_or = _saturated_answer(N, rng)
+        answer_or = _constant_answer(1, N, rng)
     else:
         or_rounds = _reconstruct_or_rounds(n_inf[:J], z_inf[:J], N, rng)
         answer_or = _final_answer(or_rounds, N, rng)
     or_error = abs(answer_or - truth_or)
-
-    if base_max >= or_error:
-        worst = f"Z_{int(np.abs(a).argmax())}"
-    else:
-        worst = f"OR_first_{J}"
-    return BaselineResult(M=M, N=N, max_error=max(base_max, or_error),
-                          worst_query=worst, base_errors_max=base_max,
-                          or_error=float(or_error))
+    return BaselineResult(M=M, N=N, max_error=max(base_max, or_error))
 
 
 # ---------------------------------------------------------------------------

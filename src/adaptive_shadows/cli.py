@@ -497,7 +497,6 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 EXPERIMENT_IDS = tuple(EXPERIMENTS)
-DEFAULT_CONFIGS = {exp_id: exp.defaults for exp_id, exp in EXPERIMENTS.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -78,12 +78,6 @@ class DiagonalState:
             raise DimensionMismatch(f"coordinate {index} outside width {self.n_qubits}")
         return int(base[index])
 
-    def bit_one_probability(self, index: int) -> float:
-        """Exact P(bit at coordinate = 1)."""
-        if not 0 <= index < self.n_qubits:
-            raise DimensionMismatch(f"coordinate {index} outside width {self.n_qubits}")
-        return float(self._probs[index])
-
     def base_support(self, index: int) -> tuple[int, ...]:
         """Base coins a coordinate depends on (itself, for base coordinates)."""
         return (index,)

@@ -267,10 +267,6 @@ class MajorityAdversary:
         return 1 if 2 * ones >= len(visible) else 0
 
 
-def _challenge_hash(column: np.ndarray) -> str:
-    return hashlib.sha1(column.tobytes()).hexdigest()[:12]
-
-
 def run_ifpc_game(code: ScoreTracingCode, adversary, N: int, d: int, M: int,
                   rng: np.random.Generator,
                   log_rows: Optional[list] = None) -> GameState:
@@ -278,7 +274,8 @@ def run_ifpc_game(code: ScoreTracingCode, adversary, N: int, d: int, M: int,
 
     The adversary sees only the restriction of each challenge column to the
     still-unaccused colluders and answers one bit; the code sees only that
-    bit. Returns the final counters.
+    bit. Returns the final counters; with ``log_rows``, also appends one
+    ``GAME_LOG_FIELDS`` row per round to it.
     """
     if not (1 <= N <= d):
         raise ValueError(f"need 1 <= N <= d, got N={N}, d={d}")
@@ -295,7 +292,7 @@ def run_ifpc_game(code: ScoreTracingCode, adversary, N: int, d: int, M: int,
         if log_rows is not None:
             log_rows.append({
                 "round": j,
-                "challenge_hash": _challenge_hash(column),
+                "challenge_hash": hashlib.sha1(column.tobytes()).hexdigest()[:12],
                 "answer": answer,
                 "rounded": answer,
                 "accused_count": len(game.accused),
@@ -457,7 +454,6 @@ class ConstantMechanism:
 class AttackResult:
     transcript: Transcript
     state: GameState
-    rows: list[dict]
     forced_error: bool
     max_error: float
     forced_round: Optional[int]
@@ -476,7 +472,6 @@ def _run_code_attack(build_state, build_query, mechanism, N: int, M: int,
     mechanism.load([UserSample(state, u) for u in users])
     game = GameState(d=d, colluders=colluders)
     transcript = Transcript()
-    rows: list[dict] = []
     max_error = 0.0
     forced_round: Optional[int] = None
     for j in range(M):
@@ -503,19 +498,9 @@ def _run_code_attack(build_state, build_query, mechanism, N: int, M: int,
         max_error = max(max_error, err)
         transcript.append(query, answer, truth)
         game.apply_round(column, claimed, accusations)
-        rows.append({
-            "round": j,
-            "challenge_hash": _challenge_hash(column),
-            "answer": answer,
-            "rounded": rounded,
-            "accused_count": len(game.accused),
-            "theta": game.theta,
-            "psi": game.psi,
-        })
     return AttackResult(
         transcript=transcript,
         state=game,
-        rows=rows,
         forced_error=forced_round is not None,
         max_error=max_error,
         forced_round=forced_round,

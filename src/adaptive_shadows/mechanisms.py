@@ -44,11 +44,13 @@ from .errors import (
     UniverseTooLarge,
     ZeroExpectation,
 )
-from .shadows import ShadowDataset, shadow_norm_bound, snapshot_values
+from .shadows import (_ATOMS, ShadowDataset, _contract_symbols,
+                      shadow_norm_bound, snapshot_values)
 
 UNIVERSE_CAP = 1 << 20          # 2^m universe with m <= 20
 BELL_QUBIT_CAP = 5              # dense rho (x) rho
 SIGN_ZERO_ATOL = 1e-12
+SQ_CLAMP = 1.0                  # SqSession clamps values and answers to [-C, C]
 
 TRACE_FIELDS = ["query_id", "answer", "noise_scale", "budget_remaining"]
 
@@ -232,20 +234,6 @@ class PmwSession:
 
 # --- shadow-encoding universe plumbing --------------------------------------
 
-# single-qubit inverse-channel matrices 3|e><e| - I, indexed by symbol
-# id = 2*basis + outcome (X0 X1 Y0 Y1 Z0 Z1)
-def _inverse_channel_atoms() -> np.ndarray:
-    from .shadows import _EIGENSTATES
-    atoms = np.empty((6, 2, 2), dtype=complex)
-    for b in range(3):
-        for o in range(2):
-            e = _EIGENSTATES[b][o]
-            atoms[2 * b + o] = 3.0 * np.outer(e, e.conj()) - np.eye(2)
-    return atoms
-
-_ATOMS = _inverse_channel_atoms()
-
-
 def encode_snapshots(ds: ShadowDataset) -> np.ndarray:
     """Mixed-radix code per snapshot: qubit q contributes (2*basis+outcome)*6^q."""
     if ds.primitive != "pauli":
@@ -257,19 +245,8 @@ def encode_snapshots(ds: ShadowDataset) -> np.ndarray:
 
 
 def query_value_table(obs, n_qubits: int) -> np.ndarray:
-    """tr(O rho_hat(code)) for every code, via per-qubit tensor contraction.
-
-    tr(O (x)_q sigma(s_q)) = sum over bit words of O[r, c] * prod sigma[c_q, r_q];
-    contracting one qubit pair at a time against the 6-atom stack turns the
-    2n bit axes into n symbol axes of size 6.
-    """
-    mat = dense_matrix(obs, n_qubits)
-    t = mat.reshape((2,) * (2 * n_qubits))
-    for q in range(n_qubits):
-        # leading q axes are finished symbols; qubit q's row axis sits at
-        # position q and its column axis at position n throughout the sweep
-        t = np.tensordot(t, _ATOMS, axes=([q, n_qubits], [2, 1]))
-        t = np.moveaxis(t, -1, q)
+    """tr(O rho_hat(code)) for every code, contracted against the 6 atoms."""
+    t = _contract_symbols(dense_matrix(obs, n_qubits), n_qubits, _ATOMS)
     # axis order is (s_0 .. s_{n-1}); codes index s_0 as the least
     # significant digit, so reverse before flattening
     return np.real(t.transpose(tuple(reversed(range(n_qubits)))).reshape(-1))
@@ -284,20 +261,18 @@ class SqSession:
 
     Noise sigma = (2C/N) * sqrt(2 M ln(1/delta)) / epsilon: the zCDP budget
     epsilon^2/(4 ln(1/delta)) divided evenly across M queries on a mean of
-    sensitivity 2C/N.  Answers are clamped back to [-C, C].
+    sensitivity 2C/N, with C = ``SQ_CLAMP``.  Answers are clamped back to
+    [-C, C].
     """
 
     def __init__(self, records: Sequence, cfg: MechanismConfig,
-                 rng: Optional[np.random.Generator] = None, C: float = 1.0):
+                 rng: Optional[np.random.Generator] = None):
         if len(records) == 0:
             raise EmptyDataset("sq mechanism needs records")
-        if C <= 0:
-            raise ValueError("C must be positive")
         self.records = records
         self.cfg = cfg
-        self.C = float(C)
         self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
-        self.sigma = (2.0 * self.C / len(records)) * math.sqrt(
+        self.sigma = (2.0 * SQ_CLAMP / len(records)) * math.sqrt(
             2.0 * cfg.M * math.log(1.0 / cfg.delta)) / cfg.epsilon
         self.answered = 0
         self.trace: list[dict] = []
@@ -309,9 +284,9 @@ class SqSession:
         vals = np.asarray(values, dtype=float)
         if len(vals) != len(self.records):
             raise DimensionMismatch("value vector length != record count")
-        vals = np.clip(vals, -self.C, self.C)
+        vals = np.clip(vals, -SQ_CLAMP, SQ_CLAMP)
         answer = float(np.clip(vals.mean() + self.rng.normal(0.0, self.sigma),
-                               -self.C, self.C))
+                               -SQ_CLAMP, SQ_CLAMP))
         self.answered += 1
         self.trace.append({
             "query_id": self.answered - 1, "answer": answer,
@@ -415,11 +390,11 @@ def adaptive_pauli_mechanism(state: DenseState, queries: Iterable[PauliString],
     """Two-step Pauli expectations: private magnitude, exact sign.
 
     Magnitudes go through the statistical-query mechanism over cfg.N Bell
-    samples (q_P in {-1, +1}, C=1); the answer is sign * sqrt(max(mag, 0)).
+    samples (q_P in {-1, +1}); the answer is sign * sqrt(max(mag, 0)).
     """
     rng = rng if rng is not None else np.random.default_rng(cfg.seed)
     outcomes = bell_samples(state, cfg.N, rng)
-    sq = SqSession(outcomes, cfg, rng=rng, C=1.0)
+    sq = SqSession(outcomes, cfg, rng=rng)
     answers = []
     for P in queries:
         mag = sq.query(q_p_values(outcomes, P))

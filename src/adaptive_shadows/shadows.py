@@ -69,6 +69,11 @@ _EIGENSTATES = np.array(
     ],
     dtype=complex,
 )
+# projectors |e><e| and inverse-channel atoms 3|e><e| - I, indexed by
+# symbol id = 2*basis + outcome (X0 X1 Y0 Y1 Z0 Z1)
+_PROJECTORS = np.einsum("boi,boj->boij", _EIGENSTATES,
+                        _EIGENSTATES.conj()).reshape(6, 2, 2)
+_ATOMS = 3.0 * _PROJECTORS - np.eye(2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +155,6 @@ class ShadowDataset:
         arr_o = np.stack([s.outcomes for s in snaps])
         return cls("pauli", bases=arr_b, outcomes=arr_o)
 
-    @classmethod
-    def from_povm(cls, vectors: np.ndarray):
-        return cls("povm", vectors=vectors)
-
     def __len__(self) -> int:
         if self.primitive == "pauli":
             return self.bases.shape[0]
@@ -172,6 +173,21 @@ class ShadowDataset:
 # ---------------------------------------------------------------------------
 # snapshot generation
 # ---------------------------------------------------------------------------
+
+def _contract_symbols(mat: np.ndarray, n: int, table: np.ndarray) -> np.ndarray:
+    """tr(M (x)_q table[s_q]) for every symbol word, as a (6,) * n array.
+
+    Contracting one qubit pair at a time against the (6, 2, 2) table turns
+    the 2n bit axes into n symbol axes: the leading q axes are finished
+    symbols, and qubit q's row axis sits at position q and its column axis
+    at position n throughout the sweep.
+    """
+    t = mat.reshape((2,) * (2 * n))
+    for q in range(n):
+        t = np.tensordot(t, table, axes=([q, n], [2, 1]))
+        t = np.moveaxis(t, -1, q)
+    return t
+
 
 def collect_pauli_snapshots(state, count: int,
                             rng: np.random.Generator) -> ShadowDataset:
@@ -199,16 +215,8 @@ def collect_pauli_snapshots_dense(state: DenseState, count: int,
     if n > 7:
         raise DimensionMismatch("Born-table sampler capped at 7 qubits")
     combos, d = 3**n, state.d
-    # one contraction sweep gives every combo's Born row at once:
-    # tr(rho (x)_q |e_{b,o}><e_{b,o}|) over the 6 per-qubit (basis, outcome)
-    # projectors, with qubit q's row axis at position q and column axis at n
-    proj = np.einsum("boi,boj->boij", _EIGENSTATES,
-                     _EIGENSTATES.conj()).reshape(6, 2, 2)
-    t = state.matrix.reshape((2,) * (2 * n))
-    for q in range(n):
-        t = np.tensordot(t, proj, axes=([q, n], [2, 1]))
-        t = np.moveaxis(t, -1, q)
-    t = np.real(t.reshape((3, 2) * n))
+    # every combo's Born row at once: tr(rho (x)_q |e_{b,o}><e_{b,o}|)
+    t = np.real(_contract_symbols(state.matrix, n, _PROJECTORS).reshape((3, 2) * n))
     axes = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
     tables = np.ascontiguousarray(t.transpose(axes).reshape(combos, d))
     tables = np.clip(tables, 0.0, None)

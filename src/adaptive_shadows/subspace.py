@@ -119,7 +119,6 @@ class PaddedState:
     """
 
     matrix: np.ndarray
-    block: np.ndarray
     k: int
     residual: float
 
@@ -147,7 +146,7 @@ def pad_state(sub: Subspace, state: DenseState) -> PaddedState:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[:sub.k, :sub.k] = block
     mat[sub.k, sub.k] = residual
-    return PaddedState(matrix=mat, block=block, k=sub.k, residual=residual)
+    return PaddedState(matrix=mat, k=sub.k, residual=residual)
 
 
 def padded_query_matrix(pairs: Sequence, k: int, dim: int) -> np.ndarray:
@@ -377,15 +376,3 @@ def run_low_rank(state: DenseState, queries, cfg: MechanismConfig, teacher,
                  rng: Optional[np.random.Generator] = None) -> LearnerRun:
     return _run_learner(state, queries, cfg, teacher, tomograph_factory, rng,
                         mode="lowrank", R=R)
-
-
-def discarded_spectrum_mass(obs: HermitianDense, state: DenseState,
-                            epsilon: float) -> float:
-    """|sum of w <psi|rho|psi> over the |w| <= eps/2 eigenstates| (exact)."""
-    w, V = obs.eigenvalues, obs.eigenvectors
-    mass = 0.0
-    for i in range(len(w)):
-        if abs(w[i]) <= epsilon / 2.0:
-            v = V[:, i]
-            mass += w[i] * float(np.real(v.conj() @ state.matrix @ v))
-    return abs(mass)

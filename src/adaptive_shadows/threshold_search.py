@@ -28,6 +28,7 @@ import numpy as np
 from .core import HermitianDense, MechanismConfig, RankOneProjector
 from .errors import (
     DimensionMismatch,
+    EmptyDataset,
     Halted,
     NonpositiveT,
     PrimitiveMismatch,
@@ -63,8 +64,9 @@ class SparseVectorSession:
     """Above-threshold answers with an ell-budget of "No"s.
 
     Queries arrive as precomputed scalars q(D) or as per-record value vectors
-    whose mean is q(D).  Halts once the "No" count exceeds ell: the final
-    "No" is still emitted, every later call raises Halted.
+    whose mean is q(D); an empty vector raises EmptyDataset before any noise
+    is drawn.  Halts once the "No" count exceeds ell: the final "No" is
+    still emitted, every later call raises Halted.
     """
 
     def __init__(self, epsilon: float, delta: float, ell: int, M: int,
@@ -84,6 +86,8 @@ class SparseVectorSession:
     def ask(self, q, theta: float) -> str:
         if self.halted:
             raise Halted(f"sparse vector spent its {self.ell} budget")
+        if np.size(q) == 0:
+            raise EmptyDataset("empty value vector has no mean")
         noisy = float(np.mean(q)) + self.rng.laplace(0.0, self.noise_scale)
         centred = theta - self.gap / 2.0 + self._threshold_noise
         if noisy > centred:

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from adaptive_shadows.cli import (
-    DEFAULT_CONFIGS,
     EXPERIMENT_IDS,
+    EXPERIMENTS,
     ExperimentSpec,
     build_spec,
     config_hash,
@@ -67,7 +67,7 @@ class TestBuildSpec:
 
     def test_defaults_are_applied(self, tmp_path):
         spec = _spec(tmp_path)
-        assert spec.cfg.M == int(DEFAULT_CONFIGS["threshold"]["M"])
+        assert spec.cfg.M == int(EXPERIMENTS["threshold"].defaults["M"])
         assert spec.trials == 2
         assert (tmp_path / "out").is_dir()
 
@@ -254,7 +254,7 @@ class TestEmitPlotData:
 
 class TestExperimentCatalog:
     def test_every_id_has_defaults(self):
-        assert set(DEFAULT_CONFIGS) == set(EXPERIMENT_IDS)
+        assert all(EXPERIMENTS[exp_id].defaults for exp_id in EXPERIMENT_IDS)
 
     def test_spec_fields(self, tmp_path):
         spec = _spec(tmp_path)

@@ -228,7 +228,7 @@ class TestSqSession:
     def test_saturated_query_stays_clamped(self):
         cfg = MechanismConfig(N=10_000, M=10, epsilon=0.1, delta=0.05, seed=6)
         records = np.zeros(10_000)
-        session = SqSession(records, cfg, rng=np.random.default_rng(41), C=1.0)
+        session = SqSession(records, cfg, rng=np.random.default_rng(41))
         answer = session.query(np.ones(10_000))
         assert 0.9 <= answer <= 1.0, f"clamped answer {answer}"
 

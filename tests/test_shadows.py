@@ -23,10 +23,13 @@ from adaptive_shadows.errors import (
     NonLocalObservable,
     UnsupportedPair,
 )
+from adaptive_shadows.mechanisms import query_value_table
 from adaptive_shadows.shadows import (
+    _PROJECTORS,
     PauliSnapshot,
     PovmSnapshot,
     ShadowDataset,
+    _contract_symbols,
     collect_pauli_snapshots,
     collect_pauli_snapshots_dense,
     collect_povm_snapshots,
@@ -56,6 +59,26 @@ def _random_density(d, rng):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     m = g @ g.conj().T
     return DenseState(m / np.trace(m).real)
+
+
+# |e><e| per symbol id 2*basis + outcome
+_REF_PROJECTORS = np.array([np.outer(_EIG[divmod(s, 2)], _EIG[divmod(s, 2)].conj())
+                            for s in range(6)])
+
+
+def _kron_reference(mat, n, table):
+    """tr(M (x)_q table[s_q]) per code by explicit Kronecker products.
+
+    Qubit 0 is the leading tensor factor and s_0 the least significant
+    base-6 digit of the code.
+    """
+    out = np.empty(6**n, dtype=complex)
+    for code in range(6**n):
+        op = np.ones((1, 1), dtype=complex)
+        for q in range(n):
+            op = np.kron(op, table[(code // 6**q) % 6])
+        out[code] = np.trace(mat @ op)
+    return out
 
 
 class TestPauliSnapshots:
@@ -127,6 +150,30 @@ class TestPauliSnapshots:
 def _one_snapshot_value(snap, obs) -> float:
     (value,) = snapshot_values(ShadowDataset.from_pauli([snap]), obs)
     return value
+
+
+class TestSymbolContraction:
+    """Per-qubit sweeps against the 6-symbol tables, checked by Kronecker products."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_query_value_table_matches_kron_reference(self, n):
+        rng = np.random.default_rng(60 + n)
+        g = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        h = (g + g.conj().T) / 2
+        obs = HermitianDense(h / np.abs(np.linalg.eigvalsh(h)).max())
+        atoms = 3.0 * _REF_PROJECTORS - np.eye(2)
+        ref = _kron_reference(obs.matrix, n, atoms)
+        assert np.abs(query_value_table(obs, n) - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_projector_stack_matches_kron_reference(self, n):
+        """The dense sampler's Born rows tr(rho (x)_q |e><e|), before reordering."""
+        assert np.abs(_PROJECTORS - _REF_PROJECTORS).max() <= 1e-12
+        rho = _random_density(2**n, np.random.default_rng(70 + n))
+        t = _contract_symbols(rho.matrix, n, _PROJECTORS)
+        got = t.transpose(tuple(reversed(range(n)))).reshape(-1)
+        ref = _kron_reference(rho.matrix, n, _REF_PROJECTORS)
+        assert np.abs(got - ref).max() <= 1e-12
 
 
 class TestSnapshotExpectation:
@@ -212,7 +259,7 @@ class TestPovmSnapshots:
 
 class TestEstimators:
     def test_single_snapshot_mean(self):
-        ds = ShadowDataset.from_povm(np.array([[1.0, 0.0]], dtype=complex))
+        ds = ShadowDataset("povm", vectors=np.array([[1.0, 0.0]], dtype=complex))
         obs = RankOneProjector(np.array([1.0, 0.0]))
         assert empirical_mean(ds, obs) == pytest.approx(2.0)
 
@@ -231,14 +278,14 @@ class TestEstimators:
 
     def test_median_robust_to_outlier_batch(self):
         vectors = np.array([[1, 0], [1, 0], [0, 1]], dtype=complex)
-        ds = ShadowDataset.from_povm(vectors)
+        ds = ShadowDataset("povm", vectors=vectors)
         obs = RankOneProjector(np.array([1.0, 0.0]))
         # batch values are [2, 2, -1]; the median shrugs off the -1
         assert median_of_means(ds, obs, K=3) == pytest.approx(2.0)
 
     def test_even_batch_count_takes_lower_middle(self):
         vectors = np.array([[1, 0], [1, 0], [0, 1], [0, 1]], dtype=complex)
-        ds = ShadowDataset.from_povm(vectors)
+        ds = ShadowDataset("povm", vectors=vectors)
         obs = RankOneProjector(np.array([1.0, 0.0]))
         # batch means sorted [-1, -1, 2, 2]: lower middle is -1
         assert median_of_means(ds, obs, K=4) == pytest.approx(-1.0)
@@ -254,13 +301,13 @@ class TestEstimators:
 
     def test_indivisible_batching_raises(self):
         vectors = np.array([[1, 0]] * 5, dtype=complex)
-        ds = ShadowDataset.from_povm(vectors)
+        ds = ShadowDataset("povm", vectors=vectors)
         with pytest.raises(IndivisibleBatching):
             median_of_means(ds, RankOneProjector(np.array([1.0, 0.0])), K=2)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
-            ShadowDataset.from_povm(np.zeros((0, 2), dtype=complex))
+            ShadowDataset("povm", vectors=np.zeros((0, 2), dtype=complex))
 
 
 class TestNormBounds:
@@ -369,8 +416,8 @@ class TestSerialization:
 
     def test_non_unit_povm_vector_is_malformed(self, tmp_path):
         path = tmp_path / "snaps.bin"
-        save_povm_binary(ShadowDataset.from_povm(
-            np.array([[2.0, 0.0]], dtype=complex)), path)
+        vectors = np.array([[2.0, 0.0]], dtype=complex)
+        save_povm_binary(ShadowDataset("povm", vectors=vectors), path)
         with pytest.raises(MalformedSnapshots):
             load_povm_binary(path)
 

@@ -27,7 +27,6 @@ from adaptive_shadows.subspace import (
     ExactTeacher,
     ExactTomograph,
     Subspace,
-    discarded_spectrum_mass,
     frobenius_mistake_cap,
     low_rank_mistake_cap,
     pad_state,
@@ -302,17 +301,6 @@ class TestFrobeniusLearner:
         spread = HermitianDense(np.diag([0.8, -0.8, 0.0, 0.0]))
         with pytest.raises(ValueError):
             run_bounded_frobenius(rho, [spread], cfg, ExactTeacher(rho, 1.0))
-
-    def test_discarded_spectrum_mass_is_always_small(self):
-        rng = np.random.default_rng(59)
-        for seed in range(20):
-            r = np.random.default_rng(100 + seed)
-            rho = _random_density(8, r)
-            h = r.normal(size=(8, 8)) + 1j * r.normal(size=(8, 8))
-            h = (h + h.conj().T) / 2
-            obs = HermitianDense(h / max(1.0, np.abs(np.linalg.eigvalsh(h)).max()))
-            eps = rng.uniform(0.1, 0.5)
-            assert discarded_spectrum_mass(obs, rho, eps) <= eps / 2 + 1e-12
 
 
 class TestLowRankLearner:

@@ -16,6 +16,7 @@ from adaptive_shadows.core import (
 )
 from adaptive_shadows.errors import (
     DimensionMismatch,
+    EmptyDataset,
     Halted,
     NonpositiveT,
     PrimitiveMismatch,
@@ -103,6 +104,16 @@ class TestSparseVector:
             if session.halted:
                 break
         assert answers == ["No", "No", "No"]
+
+    def test_empty_value_vector_raises_before_any_noise_draw(self):
+        session = SparseVectorSession(0.1, 0.01, 2, 5, np.random.default_rng(127))
+        twin = SparseVectorSession(0.1, 0.01, 2, 5, np.random.default_rng(127))
+        with pytest.raises(EmptyDataset):
+            session.ask(np.array([]), -100.0)
+        assert session.no_count == 0
+        assert session.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert session.ask(1.0, 0.0) == twin.ask(1.0, 0.0)
+        assert session.rng.bit_generator.state == twin.rng.bit_generator.state
 
     def test_parameter_validation(self):
         rng = np.random.default_rng(113)
