@@ -194,7 +194,7 @@ def run_adaptive_attack(N: int, M: int, rng: np.random.Generator,
         bits = rng.integers(0, 2, size=(N, M), dtype=np.uint8)
         bases = rng.integers(0, 3, size=(N, M), dtype=np.uint8)
         coins = rng.integers(0, 2, size=(N, M), dtype=np.uint8)
-        out = np.where(bases == 2, bits, coins)
+        out = coins ^ ((bits ^ coins) & (bases == 2))
         a = 3.0 * (N - 2.0 * out.sum(axis=0, dtype=np.int64)) / N
         sel = np.flatnonzero(a >= thr)
         if sel.size == 0:

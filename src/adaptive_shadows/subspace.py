@@ -119,7 +119,6 @@ class PaddedState:
     """
 
     matrix: np.ndarray
-    k: int
     residual: float
 
     @property
@@ -146,7 +145,7 @@ def pad_state(sub: Subspace, state: DenseState) -> PaddedState:
     mat = np.zeros((dim, dim), dtype=complex)
     mat[:sub.k, :sub.k] = block
     mat[sub.k, sub.k] = residual
-    return PaddedState(matrix=mat, k=sub.k, residual=residual)
+    return PaddedState(matrix=mat, residual=residual)
 
 
 def padded_query_matrix(pairs: Sequence, k: int, dim: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from adaptive_shadows.core import write_csv
 from adaptive_shadows.errors import InvalidPair, LengthMismatch
 from adaptive_shadows.ifpc import (
     GAME_LOG_FIELDS,
+    MIN_SCORED,
     ConstantMechanism,
     EchoAdversary,
     EmpiricalMeanMechanism,
@@ -113,6 +114,32 @@ class _ZeroAdversary:
         return 0
 
 
+class _EagerCode(ScoreTracingCode):
+    """Reference scorer: updates every score and checks the cut every round."""
+
+    def __init__(self, d, tau=5.0, invert_answers=False):
+        super().__init__(d, tau, invert_answers)
+        self._score = np.zeros(d)
+
+    def observe(self, answer):
+        if self._pending is None:
+            raise RuntimeError("no pending challenge")
+        bit = int(answer) & 1
+        if self.invert_answers:
+            bit ^= 1
+        accusations = []
+        if self._pending_uniform:
+            self._scored_rounds += 1
+            self._score += np.where(self._pending == bit, 1.0, -1.0)
+            if self._scored_rounds >= MIN_SCORED:
+                cut = self.tau * math.sqrt(self._scored_rounds)
+                hot = np.flatnonzero((self._score >= cut) & ~self._accused_mask)
+                self._accused_mask[hot] = True
+                accusations = [int(i) for i in hot]
+        self._pending = None
+        return accusations
+
+
 class TestScoreTracingCode:
     def test_challenge_answer_protocol_is_enforced(self):
         code = ScoreTracingCode(8)
@@ -161,6 +188,26 @@ class TestScoreTracingCode:
         game = run_ifpc_game(ScoreTracingCode(100), MajorityAdversary(),
                              N=5, d=100, M=80, rng=rng)
         assert game.theta == 0  # majority answers always match some colluder
+
+    def test_lazy_scoring_matches_the_eager_reference(self):
+        d, N, M = 200, 5, 1500
+        accused = 0
+        for adversary, tau, seed in itertools.product(
+                (EchoAdversary, RandomBitAdversary, MajorityAdversary),
+                (2.0, 5.0), range(4)):
+            games = []
+            for code in (ScoreTracingCode(d, tau), _EagerCode(d, tau)):
+                rows = []
+                game = run_ifpc_game(code, adversary(), N=N, d=d, M=M,
+                                     rng=np.random.default_rng(seed),
+                                     log_rows=rows)
+                # accused_count per row and the ordered accused list fix
+                # who was accused in which round
+                games.append((rows, game.accused, code.accused))
+            lazy, eager = games
+            assert lazy == eager, (adversary.__name__, tau, seed)
+            accused += len(lazy[1])
+        assert accused > 0, "the games should accuse someone"
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -294,6 +341,83 @@ class TestLocalQueries:
         state = LocalLowerBoundState(4, M=1, seed=83)
         with pytest.raises(TypeError):
             UserSample(state, 0).z_value("not a query")
+
+
+class TestZValues:
+    """``z_values`` against a per-user reference, repeated users included."""
+
+    def _users(self, rng, d):
+        users = rng.integers(0, d, size=3 * d // 2)
+        assert np.unique(users).size < users.size
+        return users
+
+    def test_local_matches_coordinate(self):
+        d = 40
+        state = LocalLowerBoundState(d, M=3, seed=89)
+        rng = np.random.default_rng(97)
+        users = self._users(rng, d)
+        for j in range(3):
+            q = rng.integers(0, 2, size=d, dtype=np.uint8)
+            query = LocalZQuery(j, state.locate(j, q))
+            expected = [1.0 - 2.0 * state.coordinate(int(u), j, query.coordinate)
+                        for u in users]
+            assert state.z_values(users, query).tolist() == expected
+
+    def test_pauli_matches_the_parity_identity(self):
+        d = 40
+        state = PauliLowerBoundState(d, M=3, seed=101)
+        rng = np.random.default_rng(103)
+        users = self._users(rng, d)
+        for j in range(3):
+            q = rng.integers(0, 2, size=d, dtype=np.uint8)
+            sk = state.secret_key(j)
+            cipher = otp_encrypt(sk, q)
+            expected = [1.0 - 2.0 * parity_decrypt_identity(
+                int(sk[u]), cipher[2 * u:2 * u + 2]) for u in users]
+            got = state.z_values(users, PauliParityQuery(j, cipher))
+            assert got.tolist() == expected
+
+    def test_corrupted_pair_raises(self):
+        d = 16
+        state = PauliLowerBoundState(d, M=1, seed=107)
+        cipher = otp_encrypt(state.secret_key(0), np.zeros(d, dtype=np.uint8))
+        cipher[6] = cipher[7]  # user 3's pair becomes 00 or 11
+        query = PauliParityQuery(0, cipher)
+        with pytest.raises(InvalidPair):
+            state.z_values(np.array([0, 3, 5]), query)
+        with pytest.raises(InvalidPair):
+            UserSample(state, 3).z_value(query)
+        assert UserSample(state, 2).z_value(query) in (-1.0, 1.0)
+
+    def test_non_query_raises_type_error(self):
+        local = LocalLowerBoundState(4, M=1, seed=109)
+        pauli = PauliLowerBoundState(4, M=1, seed=113)
+        users = np.array([0, 1])
+        for state in (local, pauli):
+            with pytest.raises(TypeError):
+                state.z_values(users, "not a query")
+        with pytest.raises(TypeError):
+            pauli.z_values(users, LocalZQuery(0, 0))
+        with pytest.raises(TypeError):
+            local.z_values(users, PauliParityQuery(0, np.zeros(8, np.uint8)))
+
+    def test_earlier_key_is_redrawn_identically(self):
+        state = PauliLowerBoundState(64, M=3, seed=127)
+        first = state.secret_key(0).copy()
+        state.secret_key(1)
+        assert np.array_equal(state.secret_key(0), first)
+
+    def test_mechanism_reads_all_samples_at_once(self):
+        state = LocalLowerBoundState(8, M=1, seed=131)
+        q = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
+        query = LocalZQuery(0, state.locate(0, q))
+        users = [0, 0, 1, 2, 7]
+        mech = EmpiricalMeanMechanism()
+        mech.load([UserSample(state, u) for u in users])
+        assert mech.answer(query) == np.mean([1.0 - 2.0 * q[u] for u in users])
+        with pytest.raises(ValueError):
+            mech.load([UserSample(state, 0), UserSample(
+                LocalLowerBoundState(8, M=1, seed=131), 1)])
 
 
 class TestAttacks:
