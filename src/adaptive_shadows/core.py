@@ -1,4 +1,4 @@
-"""States, observables, exact expectations, sampling, and transcripts.
+"""States, observables, exact expectations, sampling, transcripts, session logs.
 
 Two state families cover everything downstream:
 
@@ -361,6 +361,15 @@ def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
+
+RECORD_FIELDS = ["query_id", "answer", "noise_scale", "budget_remaining"]
+
+
+def log_query(log: list, answer, noise_scale: float, budget_remaining) -> None:
+    """Append one ``RECORD_FIELDS`` row to a session log, numbered by position."""
+    log.append({"query_id": len(log), "answer": answer,
+                "noise_scale": noise_scale, "budget_remaining": budget_remaining})
+
 
 def write_csv(path, fieldnames: Sequence[str], rows: Iterable[dict]) -> None:
     """RFC-4180 table with a header row: session logs and experiment results."""

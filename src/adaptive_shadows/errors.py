@@ -62,10 +62,6 @@ class DimensionTooLarge(AdaptiveShadowsError):
     """Dense simulation is capped at small qubit counts."""
 
 
-class ZeroExpectation(AdaptiveShadowsError):
-    """A sign was requested for a vanishing expectation (strict mode only)."""
-
-
 # threshold search ------------------------------------------------------------
 
 class Halted(AdaptiveShadowsError):

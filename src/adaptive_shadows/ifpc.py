@@ -334,42 +334,41 @@ class LocalLowerBoundState:
     Group j notionally holds 2^d coordinates; only the queried ones are ever
     assigned. Assignments are drawn from a per-round seeded stream with a
     collision check, which is indistinguishable from a true permutation at
-    the points evaluated.
+    the points evaluated. Only the latest located group is kept: locating in
+    another group restarts that group's stream from its seed, so its first
+    assignments come out the same as before.
     """
 
     def __init__(self, d: int, M: int, seed: int):
         self.d = int(d)
         self.M = int(M)
         self._seed = int(seed)
-        self._forward: list[dict[bytes, int]] = [dict() for _ in range(M)]
-        self._columns: list[dict[int, np.ndarray]] = [dict() for _ in range(M)]
-        self._rands: dict[int, random.Random] = {}
-
-    def _round_rand(self, j: int) -> random.Random:
-        if j not in self._rands:
-            self._rands[j] = random.Random(f"local:{self._seed}:{j}")
-        return self._rands[j]
+        self._round: Optional[int] = None
+        self._forward: dict[bytes, int] = {}
+        self._columns: dict[int, np.ndarray] = {}
+        self._rand: Optional[random.Random] = None
 
     def locate(self, j: int, q: np.ndarray) -> int:
         """Coordinate index assigned to bit pattern q in group j."""
+        if j != self._round:
+            self._round = j
+            self._forward, self._columns = {}, {}
+            self._rand = random.Random(f"local:{self._seed}:{j}")
         q = np.ascontiguousarray(q, dtype=np.uint8)
         key = q.tobytes()
-        forward = self._forward[j]
-        if key in forward:
-            return forward[key]
-        rand = self._round_rand(j)
-        taken = self._columns[j]
-        k = rand.getrandbits(self.d)
-        while k in taken:  # permutation property at the evaluated points
-            k = rand.getrandbits(self.d)
-        forward[key] = k
-        taken[k] = q.copy()
+        if key in self._forward:
+            return self._forward[key]
+        k = self._rand.getrandbits(self.d)
+        while k in self._columns:  # permutation property at the evaluated points
+            k = self._rand.getrandbits(self.d)
+        self._forward[key] = k
+        self._columns[k] = q.copy()
         return k
 
     def _column(self, j: int, k: int) -> np.ndarray:
-        column = self._columns[j].get(k)
+        column = self._columns.get(k) if j == self._round else None
         if column is None:
-            raise KeyError(f"coordinate {k} of group {j} was never assigned")
+            raise KeyError(f"coordinate {k} of group {j} is not held")
         return column
 
     def coordinate(self, user: int, j: int, k: int) -> int:
@@ -546,7 +545,8 @@ def _run_code_attack(build_state, build_query, mechanism, N: int, M: int,
         if err >= FORCED_ERROR_LEVEL and forced_round is None:
             forced_round = j
         max_error = max(max_error, err)
-        transcript.append(query, answer, truth)
+        # the round index stands for the query, which may hold a 2d-byte cipher
+        transcript.append(j, answer, truth)
         game.apply_round(column, claimed, accusations)
     return AttackResult(
         transcript=transcript,

@@ -8,7 +8,7 @@ answer one adaptively chosen query per call:
 * Private multiplicative weights over an explicit universe (for Pauli
   shadows, the snapshot-encoding universe via ``PmwSession.from_shadows``),
   gated by a sparse-vector comparison; answered queries are cached so repeats
-  are free and identical.
+  are identical and free in budget (a cache hit is still logged).
 * Gaussian-noised statistical queries with a zCDP-style per-query budget
   split (the noise constants are engineering choices, validated by the
   contract tests, not a citation).
@@ -17,8 +17,8 @@ answer one adaptively chosen query per call:
   session, sign from an exact oracle standing in for the coherent
   measurement, answer = sign * sqrt(magnitude).
 
-Every session appends one trace row per query (``TRACE_FIELDS``): query_id,
-answer, noise_scale, budget_remaining.
+Every session appends one ``core.RECORD_FIELDS`` row per call to its
+``log``: query_id, answer, noise_scale, budget_remaining.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .core import (
     PauliString,
     dense_matrix,
     expectation,
+    log_query,
 )
 from .errors import (
     BudgetExhausted,
@@ -42,7 +43,6 @@ from .errors import (
     EmptyDataset,
     IndivisibleBatching,
     UniverseTooLarge,
-    ZeroExpectation,
 )
 from .shadows import (_ATOMS, ShadowDataset, _contract_symbols,
                       shadow_norm_bound, snapshot_values)
@@ -51,8 +51,6 @@ UNIVERSE_CAP = 1 << 20          # 2^m universe with m <= 20
 BELL_QUBIT_CAP = 5              # dense rho (x) rho
 SIGN_ZERO_ATOL = 1e-12
 SQ_CLAMP = 1.0                  # SqSession clamps values and answers to [-C, C]
-
-TRACE_FIELDS = ["query_id", "answer", "noise_scale", "budget_remaining"]
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +86,7 @@ class DpMedianSession:
         self.gamma = gamma if gamma is not None else cfg.epsilon / 4.0
         self.rng = rng if rng is not None else np.random.default_rng(cfg.seed)
         self.answered = 0
-        self.trace: list[dict] = []
+        self.log: list[dict] = []
 
     def query(self, obs, values: Optional[np.ndarray] = None) -> float:
         if self.answered >= self.cfg.M:
@@ -118,13 +116,10 @@ class DpMedianSession:
         answer = float(grid[self.rng.choice(npts, p=w / w.sum())])
 
         self.answered += 1
-        self.trace.append({
-            "query_id": self.answered - 1, "answer": answer,
-            # exponential mechanism: weights exp(eps * u / 2) over a
-            # sensitivity-1 utility, i.e. scale 2 / eps
-            "noise_scale": 2.0 / self.cfg.epsilon,
-            "budget_remaining": self.cfg.M - self.answered,
-        })
+        # exponential mechanism: weights exp(eps * u / 2) over a
+        # sensitivity-1 utility, i.e. scale 2 / eps
+        log_query(self.log, answer, 2.0 / self.cfg.epsilon,
+                  self.cfg.M - self.answered)
         return answer
 
 
@@ -140,8 +135,11 @@ class PmwSession:
     to a noisy real answer; within threshold the deterministic synthetic
     value is released, otherwise the weights move toward the data and the
     noisy real answer is released (one unit of update budget).  Answers are
-    cached by query fingerprint, so repeated queries are identical and free.
-    Constant queries are data-independent and answered exactly.
+    cached by query fingerprint, so repeated queries are identical and free
+    in budget; ``answered`` counts only uncached queries, but every call,
+    cache hit included, appends a log row.  Constant queries are
+    data-independent and answered exactly; they and cache hits log noise
+    scale 0.
     """
 
     def __init__(self, histogram: np.ndarray, n_records: int, cfg: MechanismConfig,
@@ -170,7 +168,7 @@ class PmwSession:
         self.answered = 0
         self._cache: dict[bytes, float] = {}
         self._threshold_noise = self.rng.laplace(0.0, self.noise_scale)
-        self.trace: list[dict] = []
+        self.log: list[dict] = []
 
     @classmethod
     def from_shadows(cls, ds: ShadowDataset, cfg: MechanismConfig,
@@ -185,38 +183,32 @@ class PmwSession:
         hist = np.bincount(codes, minlength=U).astype(float)
         return cls(hist / len(codes), len(codes), cfg, rng=rng)
 
-    def _log(self, answer: float, scale: float) -> None:
-        self.trace.append({
-            "query_id": self.answered - 1, "answer": answer,
-            "noise_scale": scale,
-            "budget_remaining": self.cfg.ell - self.updates,
-        })
-
     def query(self, values: np.ndarray) -> float:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.U,):
             raise DimensionMismatch(f"query length {values.shape} != universe {self.U}")
         key = values.tobytes()
-        if key in self._cache:
-            return self._cache[key]
-        self.answered += 1
+        answer = self._cache.get(key)
+        scale = 0.0
+        if answer is None:
+            self.answered += 1
+            answer, scale = self._answer(values)
+            self._cache[key] = answer
+        log_query(self.log, answer, scale, self.cfg.ell - self.updates)
+        return answer
 
+    def _answer(self, values: np.ndarray) -> tuple[float, float]:
+        """(answer, noise scale) of an uncached query."""
         vmax = float(np.abs(values).max())
         if vmax == 0.0 or values.max() == values.min():
-            answer = float(self.h @ values)  # data-independent: answer exactly
-            self._cache[key] = answer
-            self._log(answer, 0.0)
-            return answer
+            return float(self.h @ values), 0.0  # data-independent: exact
 
         vn = values / vmax
         synthetic = float(self.weights @ vn)
         real = float(self.h @ vn)
         noisy_real = real + self.rng.laplace(0.0, self.noise_scale)
         if abs(noisy_real - synthetic) <= self.threshold + self._threshold_noise:
-            answer = synthetic * vmax
-            self._cache[key] = answer
-            self._log(answer, self.noise_scale)
-            return answer
+            return synthetic * vmax, self.noise_scale
 
         # update path: move weights toward the data, pay one budget unit
         if self.updates >= self.cfg.ell:
@@ -226,10 +218,7 @@ class PmwSession:
         self.weights *= np.exp(self.eta * direction * vn)
         self.weights /= self.weights.sum()
         self._threshold_noise = self.rng.laplace(0.0, self.noise_scale)
-        answer = noisy_real * vmax
-        self._cache[key] = answer
-        self._log(answer, self.noise_scale)
-        return answer
+        return noisy_real * vmax, self.noise_scale
 
 
 # --- shadow-encoding universe plumbing --------------------------------------
@@ -275,7 +264,7 @@ class SqSession:
         self.sigma = (2.0 * SQ_CLAMP / len(records)) * math.sqrt(
             2.0 * cfg.M * math.log(1.0 / cfg.delta)) / cfg.epsilon
         self.answered = 0
-        self.trace: list[dict] = []
+        self.log: list[dict] = []
 
     def query(self, values: np.ndarray) -> float:
         """Noised, clamped mean of one value per record."""
@@ -288,11 +277,7 @@ class SqSession:
         answer = float(np.clip(vals.mean() + self.rng.normal(0.0, self.sigma),
                                -SQ_CLAMP, SQ_CLAMP))
         self.answered += 1
-        self.trace.append({
-            "query_id": self.answered - 1, "answer": answer,
-            "noise_scale": self.sigma,
-            "budget_remaining": self.cfg.M - self.answered,
-        })
+        log_query(self.log, answer, self.sigma, self.cfg.M - self.answered)
         return answer
 
 
@@ -369,19 +354,13 @@ def q_p_values(outcomes: np.ndarray, P: PauliString) -> np.ndarray:
     return vals
 
 
-def pauli_sign_oracle(state: DenseState, P: PauliString,
-                      strict: bool = False) -> tuple[int, bool]:
-    """Exact sign of tr(P rho); (+1, flagged) for vanishing expectations.
+def pauli_sign_oracle(state: DenseState, P: PauliString) -> int:
+    """Exact sign of tr(P rho); +1 when |tr(P rho)| < ``SIGN_ZERO_ATOL``.
 
     Stands in for a coherent sign measurement on stored samples, whose
     quantum-memory semantics we do not simulate.
     """
-    tr = expectation(state, P)
-    if abs(tr) < SIGN_ZERO_ATOL:
-        if strict:
-            raise ZeroExpectation(f"tr(P rho) = {tr}")
-        return 1, True
-    return (1 if tr > 0 else -1), False
+    return -1 if expectation(state, P) <= -SIGN_ZERO_ATOL else 1
 
 
 def adaptive_pauli_mechanism(state: DenseState, queries: Iterable[PauliString],
@@ -398,7 +377,6 @@ def adaptive_pauli_mechanism(state: DenseState, queries: Iterable[PauliString],
     answers = []
     for P in queries:
         mag = sq.query(q_p_values(outcomes, P))
-        sign, _ = pauli_sign_oracle(state, P)
-        answers.append(sign * math.sqrt(max(mag, 0.0)))
+        answers.append(pauli_sign_oracle(state, P) * math.sqrt(max(mag, 0.0)))
     return answers
 

@@ -44,8 +44,6 @@ from .shadows import collect_pauli_snapshots
 
 GS_CUTOFF = 1e-8
 TEACHER_TRIGGER = 0.75  # ExactTeacher's Mistake level, in units of epsilon
-LEDGER_FIELDS = ["round", "mistake_flag", "k_after", "gap_witness",
-                 "answer", "truth", "error"]
 
 
 def single_rank_mistake_cap(epsilon: float) -> int:
@@ -225,21 +223,15 @@ class ExactTeacher:
 
 @dataclass
 class MistakeLedger:
+    """The mistake cap and one gap witness per mistake; each round's answer
+    and truth are in the run's transcript."""
+
     cap: int
-    rows: list = field(default_factory=list)
-    mistake_count: int = 0
     witnesses: list = field(default_factory=list)
 
-    def record(self, round_idx: int, mistake: bool, k_after: int,
-               witness: Optional[float], answer: float, truth: float) -> None:
-        if mistake:
-            self.mistake_count += 1
-            self.witnesses.append(witness)
-        self.rows.append({
-            "round": round_idx, "mistake_flag": int(mistake), "k_after": k_after,
-            "gap_witness": "" if witness is None else witness,
-            "answer": answer, "truth": truth, "error": abs(answer - truth),
-        })
+    @property
+    def mistake_count(self) -> int:
+        return len(self.witnesses)
 
 
 @dataclass
@@ -287,7 +279,7 @@ def _run_learner(state: DenseState, queries, cfg: MechanismConfig, teacher,
     ledger = MistakeLedger(cap=cap)
     rounds = []
 
-    for idx, obs in enumerate(queries):
+    for obs in queries:
         if mode == "single" and not isinstance(obs, RankOneProjector):
             raise UnsupportedPair("single-rank learner takes projector queries")
         pairs = _eigenpairs(obs, d)
@@ -318,8 +310,7 @@ def _run_learner(state: DenseState, queries, cfg: MechanismConfig, teacher,
             guess = 0.0
 
         verdict, correction = teacher.check(graded, guess)
-        mistake = verdict == "Mistake"
-        if mistake:
+        if verdict == "Mistake":
             if mode == "single":
                 _, coords, perp = projections[0]
                 witness = 0.0
@@ -336,16 +327,15 @@ def _run_learner(state: DenseState, queries, cfg: MechanismConfig, teacher,
                     inside = float(np.real(psi_s.conj() @ state.matrix @ psi_s))
                     gaps.append(abs(full - inside))
                 witness = max(gaps) if gaps else 0.0
+            ledger.witnesses.append(witness)
             sub.extend([v for _, v in retained])
             tomo = tomograph_factory(pad_state(sub, state), rng)
             answer = correction if correction is not None else guess
         else:
-            witness = None
             answer = guess
 
-        truth = expectation(state, obs)
-        ledger.record(idx, mistake, sub.k, witness, answer, truth)
-        rounds.append(Round(query=obs, answer=answer, truth=truth))
+        rounds.append(Round(query=obs, answer=answer,
+                            truth=expectation(state, obs)))
         if ledger.mistake_count > cap:
             raise MistakeBudgetExceeded(
                 f"{ledger.mistake_count} mistakes exceed the {cap} cap")

@@ -16,6 +16,12 @@ than a third of the gap.
 The closeness teacher turns threshold answers into Pass/Mistake verdicts for
 (observable, guessed value) pairs via two simulated queries per round, and
 supplies a DP-median correction on every Mistake.
+
+The threshold session and the teacher each append one ``core.RECORD_FIELDS``
+row per call to their ``log``: the answer ("Yes"/"No" or "Pass"/"Mistake"),
+the sparse-vector noise scale, and the budget left ("No" answers before the
+search halts, mistakes before the teacher halts).  A teacher's corrections
+are logged by its DP-median correction session.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HermitianDense, MechanismConfig, RankOneProjector
+from .core import HermitianDense, MechanismConfig, RankOneProjector, log_query
 from .errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -36,8 +42,6 @@ from .errors import (
 )
 from .mechanisms import DpMedianSession
 from .shadows import ShadowDataset, snapshot_values
-
-SESSION_LOG_FIELDS = ["query_id", "theta", "answer", "correction", "no_count"]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +128,6 @@ class ShadowThresholdSession:
             epsilon=cfg.epsilon / 3.0, delta=cfg.delta,
             ell=cfg.ell, M=cfg.M, rng=self.rng)
         self.log: list[dict] = []
-        self._asked = 0
 
     @property
     def no_count(self) -> int:
@@ -144,11 +147,8 @@ class ShadowThresholdSession:
                 f"{len(values)} values for {len(self.ds)} snapshots")
         vals = np.clip(values, -self.T, self.T)
         answer = self.svt.ask(float(vals.mean()), theta - self.cfg.epsilon / 3.0)
-        self._asked += 1
-        self.log.append({
-            "query_id": self._asked - 1, "theta": theta, "answer": answer,
-            "correction": "", "no_count": self.svt.no_count,
-        })
+        log_query(self.log, answer, self.svt.noise_scale,
+                  self.svt.ell + 1 - self.svt.no_count)
         return answer
 
 
@@ -187,7 +187,6 @@ class ClosenessTeacher:
         self.correction_session = correction_session
         self.mistakes = 0
         self.log: list[dict] = []
-        self._round = 0
 
     def check(self, obs, guess: float):
         """Returns ("Pass", None) or ("Mistake", correction)."""
@@ -201,22 +200,14 @@ class ClosenessTeacher:
         vals = snapshot_values(self.search.ds, obs)
         over = self.search.ask(obs, guess + eps, values=vals)
         under = self.search.ask(None, 1.0 - guess + eps, values=1.0 - vals)
-        self._round += 1
-        if over == "Yes" and under == "Yes":
-            self.log.append({
-                "query_id": self._round - 1, "theta": guess, "answer": "Pass",
-                "correction": "", "no_count": self.search.no_count,
-            })
-            return "Pass", None
-        self.mistakes += 1
-        mu = None
-        if self.correction_session is not None:
-            shared = self.correction_session.ds is self.search.ds
-            mu = self.correction_session.query(
-                obs, values=vals if shared else None)
-        self.log.append({
-            "query_id": self._round - 1, "theta": guess, "answer": "Mistake",
-            "correction": "" if mu is None else mu,
-            "no_count": self.search.no_count,
-        })
-        return "Mistake", mu
+        verdict, mu = "Pass", None
+        if over != "Yes" or under != "Yes":
+            verdict = "Mistake"
+            self.mistakes += 1
+            if self.correction_session is not None:
+                shared = self.correction_session.ds is self.search.ds
+                mu = self.correction_session.query(
+                    obs, values=vals if shared else None)
+        log_query(self.log, verdict, self.search.svt.noise_scale,
+                  self.cfg.ell - self.mistakes)
+        return verdict, mu

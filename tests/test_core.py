@@ -1,9 +1,12 @@
-"""Tests for states, observables, expectations, and transcripts."""
+"""Tests for states, observables, expectations, transcripts and session logs."""
+
+import csv
 
 import numpy as np
 import pytest
 
 from adaptive_shadows.core import (
+    RECORD_FIELDS,
     DenseState,
     DiagonalState,
     HermitianDense,
@@ -16,10 +19,17 @@ from adaptive_shadows.core import (
     dense_matrix,
     expectation,
     spawn_rngs,
+    write_csv,
 )
 from adaptive_shadows.errors import (
     DimensionMismatch,
     NonDiagonalObservableOnDiagonalState,
+)
+from adaptive_shadows.mechanisms import DpMedianSession, PmwSession, SqSession
+from adaptive_shadows.shadows import collect_povm_snapshots
+from adaptive_shadows.threshold_search import (
+    ClosenessTeacher,
+    ShadowThresholdSession,
 )
 
 
@@ -235,6 +245,92 @@ class TestSpawnRngs:
         b = spawn_rngs(9, 6)
         assert a[0].integers(0, 1 << 30) == b[0].integers(0, 1 << 30)
         assert a[1].integers(0, 1 << 30) == b[1].integers(0, 1 << 30)
+
+
+# one builder per session: (session, calls, expected (noise_scale,
+# budget_remaining) per row, given the logged rows)
+
+_E0 = RankOneProjector(np.array([1.0, 0.0]))
+
+
+def _povm(count, seed):
+    rng = np.random.default_rng(seed)
+    rho = DenseState(np.diag([0.8, 0.2]).astype(complex))
+    return collect_povm_snapshots(rho, count, rng), rng
+
+
+def _dp_median_calls():
+    ds, rng = _povm(64, 3)
+    s = DpMedianSession(ds, MechanismConfig(N=64, M=3, epsilon=0.4, K=8), rng=rng)
+    return s, [lambda: s.query(_E0)] * 3, lambda rows: [(5.0, 2), (5.0, 1), (5.0, 0)]
+
+
+def _pmw_calls():
+    """A repeat (cache hit) and a constant query log noise scale 0."""
+    cfg = MechanismConfig(N=100, M=4, epsilon=1.0, ell=3)
+    s = PmwSession(np.full(8, 1 / 8), 100, cfg, rng=np.random.default_rng(5))
+    v = np.arange(8.0)
+    queries = [v, v, np.ones(8), -v]
+
+    def expected(rows):
+        assert s.answered == 3 and s.updates == 0
+        assert rows[1]["answer"] == rows[0]["answer"]
+        return [(s.noise_scale, 3), (0.0, 3), (0.0, 3), (s.noise_scale, 3)]
+    return s, [lambda q=q: s.query(q) for q in queries], expected
+
+
+def _sq_calls():
+    s = SqSession(np.ones(50), MechanismConfig(N=50, M=3, epsilon=0.5, delta=0.1))
+    return (s, [lambda: s.query(np.ones(50))] * 3,
+            lambda rows: [(s.sigma, 2), (s.sigma, 1), (s.sigma, 0)])
+
+
+def _threshold_calls():
+    ds, rng = _povm(2000, 7)
+    cfg = MechanismConfig(N=2000, M=4, epsilon=0.3, B=3.0, ell=2)
+    s = ShadowThresholdSession(ds, cfg, rng=rng)
+    calls = [lambda t=t: s.ask(_E0, t) for t in (0.0, 1.2, 0.0)]
+
+    def expected(rows):
+        assert [r["answer"] for r in rows] == ["No", "Yes", "No"]
+        return [(s.svt.noise_scale, b) for b in (2, 2, 1)]  # ell + 1 - no_count
+    return s, calls, expected
+
+
+def _teacher_calls():
+    ds, rng = _povm(4000, 11)
+    cfg = MechanismConfig(N=4000, M=4, epsilon=0.3, B=3.0, ell=3)
+    s = ClosenessTeacher(ds, cfg, rng=rng)
+    calls = [lambda g=g: s.check(_E0, g) for g in (0.8, 0.1, 0.8)]
+
+    def expected(rows):
+        assert [r["answer"] for r in rows] == ["Pass", "Mistake", "Pass"]
+        return [(s.search.svt.noise_scale, b) for b in (3, 2, 2)]  # ell - mistakes
+    return s, calls, expected
+
+
+class TestQueryLog:
+    """One ``RECORD_FIELDS`` row per call, whatever the session."""
+
+    @pytest.mark.parametrize("build", [
+        _dp_median_calls, _pmw_calls, _sq_calls, _threshold_calls,
+        _teacher_calls,
+    ], ids=["dp_median", "pmw", "sq", "threshold", "teacher"])
+    def test_every_call_leaves_one_row(self, build, tmp_path):
+        session, calls, expected = build()
+        for call in calls:
+            call()
+        rows = session.log
+        assert [r["query_id"] for r in rows] == list(range(len(calls)))
+        assert [(r["noise_scale"], r["budget_remaining"])
+                for r in rows] == expected(rows)
+        path = tmp_path / "log.csv"
+        write_csv(path, RECORD_FIELDS, rows)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            assert reader.fieldnames == RECORD_FIELDS
+            back = list(reader)
+        assert back == [{k: str(v) for k, v in r.items()} for r in rows]
 
 
 def _random_density(d: int, rng: np.random.Generator) -> DenseState:

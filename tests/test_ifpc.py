@@ -289,6 +289,18 @@ class TestLocalLowerBoundState:
         with pytest.raises(KeyError):
             state.coordinate(0, 0, 12345)
 
+    def test_only_the_latest_group_is_held(self):
+        state = LocalLowerBoundState(4, M=2, seed=49)
+        q, r = (np.array(b, dtype=np.uint8) for b in ([1, 0, 1, 1], [0, 1, 1, 0]))
+        k0 = state.locate(0, q)
+        k1 = state.locate(1, r)
+        assert state.coordinate(1, 1, k1) == 1
+        with pytest.raises(KeyError):
+            state.coordinate(0, 0, k0)
+        assert state.locate(0, q) == k0  # the group's stream restarts
+        with pytest.raises(KeyError):
+            state.coordinate(1, 1, k1)
+
     def test_qubit_accounting(self):
         state = LocalLowerBoundState(6, M=3, seed=53)
         assert state.n_qubits == 3 + 3 * 64
@@ -456,6 +468,7 @@ class TestAttacks:
         result = run_pauli_attack(EmpiricalMeanMechanism(), N=2, M=20,
                                   rng=np.random.default_rng(13))
         assert len(result.transcript) == 20
+        assert [r.query for r in result.transcript.rounds] == list(range(20))
         assert result.state.round_index == 20
 
     def test_custom_code_is_honored(self):

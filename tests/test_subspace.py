@@ -1,6 +1,5 @@
 """Subspace bookkeeping and the mistake-bounded online learner."""
 
-import csv
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from adaptive_shadows.core import (
     PauliString,
     RankOneProjector,
     expectation,
-    write_csv,
 )
 from adaptive_shadows.errors import (
     DimensionMismatch,
@@ -23,7 +21,6 @@ from adaptive_shadows.errors import (
 )
 from adaptive_shadows.subspace import (
     GS_CUTOFF,
-    LEDGER_FIELDS,
     ExactTeacher,
     ExactTomograph,
     Subspace,
@@ -247,22 +244,6 @@ class TestSingleRankLearner:
         assert single_rank_mistake_cap(5.0) == 1
         with pytest.raises(MistakeBudgetExceeded):
             run_single_rank(rho, queries, cfg, _AlwaysWrong())
-
-    def test_ledger_round_trip(self, tmp_path):
-        rng = np.random.default_rng(43)
-        rho = _random_density(4, rng)
-        v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        queries = [RankOneProjector(v / np.linalg.norm(v))] * 3
-        cfg = MechanismConfig(N=10, M=3, epsilon=0.25, seed=6)
-        run = run_single_rank(rho, queries, cfg, ExactTeacher(rho, 0.25))
-        path = tmp_path / "ledger.csv"
-        write_csv(path, LEDGER_FIELDS, run.ledger.rows)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            assert reader.fieldnames == LEDGER_FIELDS
-            rows = list(reader)
-        assert len(rows) == 3
-        assert [int(r["round"]) for r in rows] == [0, 1, 2]
 
 
 class TestFrobeniusLearner:

@@ -1,7 +1,5 @@
 """Truncated threshold search, sparse vector, and the closeness teacher."""
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from adaptive_shadows.core import (
     PauliString,
     RankOneProjector,
     expectation,
-    write_csv,
 )
 from adaptive_shadows.errors import (
     DimensionMismatch,
@@ -29,7 +26,6 @@ from adaptive_shadows.shadows import (
     snapshot_values,
 )
 from adaptive_shadows.threshold_search import (
-    SESSION_LOG_FIELDS,
     ClosenessTeacher,
     ShadowThresholdSession,
     SparseVectorSession,
@@ -212,21 +208,6 @@ class TestShadowThresholdSession:
                 break
         assert answers == ["No", "No"]  # second No exceeds ell=1 and halts
 
-    def test_log_rows_carry_the_session_fields(self, tmp_path):
-        rho = DenseState(np.diag([1.0, 0.0]).astype(complex))
-        session = self._session(rho, 149, count=2000)
-        obs = RankOneProjector(np.array([1.0, 0.0]))
-        session.ask(obs, 0.0)
-        session.ask(obs, 0.9)
-        path = tmp_path / "log.csv"
-        write_csv(path, SESSION_LOG_FIELDS, session.log)
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            assert reader.fieldnames == SESSION_LOG_FIELDS
-            rows = list(reader)
-        assert rows[0]["answer"] == "No"
-        assert int(rows[-1]["no_count"]) >= 1
-
 
 class TestClosenessTeacher:
     def _setup(self, seed, d=2, eps=0.3):
@@ -295,18 +276,15 @@ class TestClosenessTeacher:
         with pytest.raises(UnsupportedPair):
             teacher.check(PauliString("Z"), 0.5)
 
-    def test_scripted_wrapper_and_log(self, tmp_path):
+    def test_scripted_wrapper_and_log(self):
         rho, teacher = self._setup(621)
         obs = RankOneProjector(np.array([1.0, 0.0]))
         truth = expectation(rho, obs)
         teacher.check(obs, truth)
-        teacher.check(obs, truth + 0.9)
+        _, correction = teacher.check(obs, truth + 0.9)
         assert [row["answer"] for row in teacher.log] == ["Pass", "Mistake"]
-        assert teacher.log[1]["correction"] != ""
-        path = tmp_path / "teacher.csv"
-        write_csv(path, SESSION_LOG_FIELDS, teacher.log)
-        with open(path, newline="") as fh:
-            assert csv.DictReader(fh).fieldnames == SESSION_LOG_FIELDS
+        corrections = teacher.correction_session.log
+        assert [row["answer"] for row in corrections] == [correction]
 
     def test_correction_can_share_the_search_dataset(self):
         rng = np.random.default_rng(631)
